@@ -12,6 +12,15 @@ against it when ``check_general_rule`` is set, which the test suite
 does; on seeded systems the two never disagree because every producible
 assembly is closed to the south-west.
 
+In canonical order (no ``rng``, no ``check_general_rule``), which is
+what ``verify_solution`` uses, the simulator makes one row-major pass
+over the cells instead of running the frontier.  The frontier always
+pops its smallest index and only ever gains larger ones, so it visits
+supported cells in increasing index order, which is exactly the order
+of the pass; both give the same outcome, at the same position, with the
+same tile ids.  The frontier loop remains for random order and for
+``check_general_rule``, and is the reference the pass is tested against.
+
 Outcomes:
 
 * ``UniqueTerminal`` - every position filled, one choice of tile at
@@ -130,14 +139,17 @@ def simulate(
     With ``rng`` the frontier is consumed in random order instead of
     canonical (y, x) order; deterministic systems produce the same
     terminal assembly either way.  ``check_general_rule`` cross-checks
-    every frontier decision against ``attachable_tiles``.
+    every frontier decision against ``attachable_tiles``.  With neither,
+    growth is the single row-major pass of ``_sweep``.
     """
-    m, n = system.m, system.n
-    mn = m * n
     by_sw: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(system.tiles):
         by_sw.setdefault((t.south, t.west), []).append(i)
+    if rng is None and not check_general_rule:
+        return _sweep(system, by_sw)
 
+    m, n = system.m, system.n
+    mn = m * n
     placed: list[int | None] = [None] * mn
     frontier: list[int] = [cell_index(1, 1, m)]
     blocked: list[int] = []
@@ -180,6 +192,46 @@ def simulate(
         return Stuck(frontier=tuple(cell_coords(c, m) for c in sorted(blocked)))
     assert all(t is not None for t in placed)
     return UniqueTerminal(Assembly(m, n, tuple(placed)))
+
+
+def _sweep(system: TileSystem, by_sw: dict) -> SimulationResult:
+    """Canonical-order growth as one row-major pass over the cells.
+
+    A cell's south and west neighbours both come before it in row-major
+    order, so by the time the pass reaches a cell it is known whether the
+    cell is supported.  Supported cells are visited in increasing index
+    order, which is the order the frontier loop pops them in, so the
+    outcome, its position and its tile ids are the same."""
+    m = system.m
+    tiles = system.tiles
+    # glue each column presents northward into the current row; None
+    # where the cell below was never filled
+    up: list[int | None] = list(system.seed_north)
+    placed: list[int | None] = []
+    blocked: list[int] = []
+    for y in range(system.n):
+        west = system.seed_east[y]
+        for x in range(m):
+            south = up[x]
+            if south is None or west is None:
+                placed.append(None)  # unsupported, never reached
+                up[x] = west = None
+                continue
+            candidates = by_sw.get((south, west))
+            if candidates is None:
+                blocked.append(len(placed))
+                placed.append(None)
+                up[x] = west = None
+                continue
+            if len(candidates) >= 2:
+                return Nondeterministic(x + 1, y + 1, candidates[0], candidates[1])
+            t = candidates[0]
+            placed.append(t)
+            up[x] = tiles[t].north
+            west = tiles[t].east
+    if blocked:
+        return Stuck(frontier=tuple(cell_coords(c, m) for c in blocked))
+    return UniqueTerminal(Assembly(m, system.n, tuple(placed)))
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low; a smaller value is a usage error
+    (exit 2), like any other bad argument."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="patsolve",
@@ -169,9 +185,13 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--pattern", required=True, help="pattern file")
     group = slv.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact", action="store_true", help="run to proven optimality")
-    group.add_argument("--cutoff", type=int, help="stop after N merge operations")
+    group.add_argument(
+        "--cutoff", type=_int_at_least(0), help="stop after N merge operations"
+    )
     slv.add_argument("--seed", type=int, default=0, help="search RNG seed")
-    slv.add_argument("--report-every", type=int, help="progress event every N merges")
+    slv.add_argument(
+        "--report-every", type=_int_at_least(1), help="progress event every N merges"
+    )
     slv.add_argument("--out", help="write the best tile set here")
     slv.add_argument("--events", help="write the progress event stream here")
     slv.set_defaults(func=_cmd_solve)
@@ -184,7 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="merge-count percentiles on random instances")
     ben.add_argument("--sizes", default="2x2,2x3,3x3,3x4,4x4", help="comma list like 2x2,3x3")
     ben.add_argument("--k", type=int, default=2, help="colours per instance")
-    ben.add_argument("--runs", type=int, default=21, help="instances per size")
+    ben.add_argument(
+        "--runs", type=_int_at_least(1), default=21, help="instances per size"
+    )
     ben.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     ben.add_argument("--out", help="output TSV (default stdout)")
     ben.set_defaults(func=_cmd_bench)

@@ -71,15 +71,19 @@ def parse_pattern(text: str) -> ColorGrid:
         raise PatternError(f"non-integer in header {lines[0]!r}") from None
     if m < 1 or n < 1 or k < 1:
         raise PatternError("header values must be positive")
-    rows = lines[1:]
+    rows = [line.split() for line in lines[1:]]
     if len(rows) != n:
         raise PatternError(f"expected {n} rows, got {len(rows)}")
-    cells = [0] * (m * n)
-    for row_no, line in enumerate(rows):
-        y = n - row_no  # first data row is the north edge
-        toks = line.split()
+    # Every width is checked before the cell array exists, so its size is
+    # bounded by the text's own length, whatever the header claims.
+    for row_no, toks in enumerate(rows):
         if len(toks) != m:
-            raise PatternError(f"row y={y}: expected {m} entries, got {len(toks)}")
+            raise PatternError(
+                f"row y={n - row_no}: expected {m} entries, got {len(toks)}"
+            )
+    cells = [0] * (m * n)
+    for row_no, toks in enumerate(rows):
+        y = n - row_no  # first data row is the north edge
         for col, tok in enumerate(toks):
             try:
                 c = int(tok)

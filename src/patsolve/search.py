@@ -25,6 +25,15 @@ and testing.  ``solve`` runs the same tree on mutable state: rollback
 union-find for parts and glue slots (every parent write is logged and
 undone on backtrack), a doubly linked list of live parts in canonical
 order, and per-colour clique sets.  Equal seeds give equal runs.
+
+Incumbents cost about one pass over the grid, not a rebuild.  The slot
+union-find already is the MGTA of the current partition, so the glue
+assignment is read off it: live anchors in list order are the parts in
+canonical order, and the roots of their N, E, S, W slots, numbered by
+first occurrence, are exactly the class ids ``build_mgta`` would give.
+The assignment still goes through ``extract_tas``, with its
+constructibility and colour checks, and the resulting tile system
+through ``verify_solution`` before it is adopted.
 """
 
 from __future__ import annotations
@@ -543,10 +552,35 @@ class _Engine:
             )
         )
 
+    def _glue_assignment(self, part: Partition) -> GlueAssignment:
+        """The MGTA of the current partition, read off the slot union-find.
+
+        The union-find already holds the MGTA's classes: adjacency links
+        are installed at startup and every merge unites its parts' four
+        slots.  Part ids of ``part`` follow canonical order, which is the
+        order of the live anchor list, so numbering the slot roots of each
+        live anchor's N, E, S, W sides by first occurrence gives exactly
+        the ids ``build_mgta(part)`` gives.  Finds here walk to the root
+        without compressing, so they leave the trail alone."""
+        sp = self.sparent
+        ids: dict[int, int] = {}
+        quads = []
+        nxt, mn = self.nxt, self.mn
+        a = nxt[mn]
+        while a != mn:
+            quad = []
+            for r in range(4 * a, 4 * a + 4):
+                while sp[r] != r:
+                    r = sp[r]
+                quad.append(ids.setdefault(r, len(ids)))
+            quads.append(tuple(quad))
+            a = nxt[a]
+        return GlueAssignment(part, tuple(quads), len(ids))
+
     def _adopt_incumbent(self) -> None:
         part = self._snapshot_partition()
         assert part.num_parts == self.num_parts
-        system = extract_tas(build_mgta(part), self.grid)
+        system = extract_tas(self._glue_assignment(part), self.grid)
         report = verify_solution(system, self.grid)
         if not report.ok:
             raise RuntimeError(
@@ -734,13 +768,16 @@ def solve(
         use_graph_pruning,
     )
     needed = 3 * engine.mn + 200
-    if sys.getrecursionlimit() < needed:
+    saved_limit = sys.getrecursionlimit()
+    if saved_limit < needed:
         sys.setrecursionlimit(needed)
     proven = True
     try:
         engine._visit()
     except _Cutoff:
         proven = False
+    finally:
+        sys.setrecursionlimit(saved_limit)
     assert engine.best_system is not None and engine.best_partition is not None
     return SolveResult(
         best_size=engine.best,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from patsolve import (
     Assembly,
@@ -135,3 +137,45 @@ def test_assembly_tile_at():
     assert a.tile_at(2, 1) == 1
     assert a.tile_at(1, 2) == 0
     assert a.tile_at(2, 2) == 2
+
+
+@st.composite
+def tile_systems(draw):
+    """Small random systems over three glues: many are stuck or
+    nondeterministic, some assemble."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    glue = st.integers(0, 2)
+    tile = st.builds(
+        Tile, north=glue, east=glue, south=glue, west=glue, color=st.integers(0, 1)
+    )
+    return TileSystem(
+        m=m,
+        n=n,
+        tiles=tuple(draw(st.lists(tile, min_size=1, max_size=6))),
+        seed_north=tuple(draw(st.lists(glue, min_size=m, max_size=m))),
+        seed_east=tuple(draw(st.lists(glue, min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=tile_systems())
+@example(system=sierpinski_tas(4, 3))
+@example(  # nondeterministic at the corner
+    system=TileSystem(2, 2, (Tile(0, 0, 0, 0, 0), Tile(1, 1, 0, 0, 1)), (0, 0), (0, 0))
+)
+@example(  # stuck at (2,1) and (1,2), the rest unsupported
+    system=TileSystem(2, 2, (Tile(7, 7, 0, 0, 0),), (0, 0), (0, 0))
+)
+@example(  # stuck at (2,1), then nondeterministic at (1,2)
+    system=TileSystem(
+        2, 2, (Tile(1, 3, 0, 0, 0), Tile(0, 0, 1, 0, 0), Tile(0, 0, 1, 0, 1)),
+        (0, 5), (0, 0),
+    )
+)
+def test_sweep_matches_frontier_loop(system):
+    # the canonical sweep against the frontier loop, which the general
+    # strength rule cross-checks at every step
+    swept = simulate(system)
+    event(type(swept).__name__)
+    assert swept == simulate(system, check_general_rule=True)

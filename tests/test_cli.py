@@ -102,6 +102,24 @@ class TestSolve:
         assert code == 1
         assert "cannot read" in stderr
 
+    def test_negative_cutoff_is_usage_error(self, tmp_path, capsys):
+        pat = tmp_path / "pat.txt"
+        run(capsys, "generate", "--type", "sierpinski", "--m", "3", "--n", "3",
+            "--out", str(pat))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--pattern", str(pat), "--cutoff", "-1"])
+        assert exc.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--cutoff" in stderr and "must be at least 0" in stderr
+        assert "Traceback" not in stderr
+
+    def test_huge_header_short_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2000000000 1 2\n0 1\n")
+        code, _, stderr = run(capsys, "solve", "--pattern", str(bad), "--exact")
+        assert code == 1
+        assert stderr.startswith("error:") and "expected 2000000000 entries" in stderr
+
     def test_malformed_pattern_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a pattern\n")
@@ -175,6 +193,14 @@ class TestBench:
         code, _, stderr = run(capsys, "bench", "--sizes", "2x2,fish")
         assert code == 1
         assert "bad size" in stderr
+
+    def test_zero_runs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "2x2", "--runs", "0"])
+        assert exc.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--runs" in stderr and "must be at least 1" in stderr
+        assert "Traceback" not in stderr
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,18 @@ class TestParseEmit:
     def test_rejects_malformed(self, text):
         with pytest.raises(PatternError):
             parse_pattern(text)
+
+    def test_row_widths_checked_before_allocation(self):
+        # the header claims a million cells, the text holds two: the short
+        # row must be rejected before a cell array of the claimed size exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(PatternError, match="expected 1000000 entries"):
+                parse_pattern("1000000 1 2\n0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGenerators:

@@ -1,7 +1,12 @@
 import itertools
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import patsolve.search as search_module
 from patsolve import (
     ColorGrid,
     SharedIncumbent,
@@ -15,6 +20,7 @@ from patsolve import (
     constructibility,
     enumerate_children,
     enumerate_min_tileset,
+    extract_tas,
     forced_child,
     gen_random,
     gen_sierpinski,
@@ -365,3 +371,80 @@ class TestSharedIncumbent:
         # the foreign incumbent only prunes; local search still finds its own
         assert helped.best_size >= alone.best_size
         assert helped.merges_performed <= alone.merges_performed
+
+
+@st.composite
+def small_grids(draw):
+    """Onto colourings of grids of at most 12 cells, strips included."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12 // m))
+    raw = draw(st.lists(st.integers(0, 2), min_size=m * n, max_size=m * n))
+    relabel: dict[int, int] = {}
+    cells = tuple(relabel.setdefault(c, len(relabel)) for c in raw)
+    return ColorGrid(m, n, len(relabel), cells)
+
+
+class TestIncumbentAssignment:
+    """The engine reads each incumbent's glue assignment off its own slot
+    union-find.  build_mgta computes the same assignment from the
+    partition alone; the two must agree on every incumbent, class ids
+    included."""
+
+    @staticmethod
+    def solve_checked(grid, cfg):
+        real_extract = search_module.extract_tas
+        checked = []
+
+        def extract_checked(f, g):
+            ref = build_mgta(f.partition)
+            assert f.glues == ref.glues
+            assert f.num_classes == ref.num_classes
+            system = real_extract(f, g)
+            assert system == extract_tas(ref, g)
+            checked.append(system)
+            return system
+
+        with mock.patch.object(search_module, "extract_tas", extract_checked):
+            result = solve(grid, cfg)
+        assert len(checked) == len(result.trace)
+        assert checked[-1] == result.best_system
+        return result
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=small_grids(), seed=st.integers(0, 1000))
+    @example(grid=gen_random(1, 12, 2, 4), seed=4)
+    @example(grid=gen_random(12, 1, 2, 4), seed=4)
+    @example(grid=gen_sierpinski(3, 4), seed=0)
+    def test_small_grids_exact(self, grid, seed):
+        self.solve_checked(grid, SolveConfig.exact(seed=seed))
+
+    def test_sierpinski16(self):
+        res = self.solve_checked(gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0))
+        assert res.best_size == 4
+
+    def test_random16(self):
+        res = self.solve_checked(
+            gen_random(16, 16, 2, 100), SolveConfig.anytime(7500, seed=100)
+        )
+        assert len(res.trace) > 100
+
+
+class TestProcessState:
+    # 20x20 needs a recursion limit of 3*400+200 = 1400, above the 1000
+    # that is set here, so solve has to raise it and put it back
+    @pytest.mark.parametrize(
+        "grid, cfg",
+        [
+            (ColorGrid(20, 20, 1, (0,) * 400), SolveConfig.exact(seed=0)),
+            (gen_random(20, 20, 2, 1), SolveConfig.anytime(50, seed=0)),
+        ],
+        ids=["exact", "cutoff"],
+    )
+    def test_recursion_limit_restored(self, grid, cfg):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            solve(grid, cfg)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
