@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from .partition import Partition, cell_index
 from .rng import SplitMix64
 
+# gen_random gives up after this many draws that miss a colour: with k
+# close to m*n an onto colouring is too rare to wait for (5x5 with k=25
+# takes about 5.8e9 draws on average)
+_MAX_DRAWS = 1000
+
 
 class PatternError(ValueError):
     """Malformed pattern text or an invalid grid construction."""
@@ -143,17 +148,21 @@ def gen_binary_counter(m: int, n: int) -> ColorGrid:
 def gen_random(m: int, n: int, k: int, seed: int) -> ColorGrid:
     """Uniform random k-colouring of the grid, redrawn wholesale until every
     colour occurs.  Driven by SplitMix64(seed), one draw per cell per
-    attempt, so equal seeds give equal grids everywhere."""
+    attempt, so equal seeds give equal grids everywhere.  Raises
+    PatternError when _MAX_DRAWS attempts all miss a colour."""
     if m < 1 or n < 1:
         raise PatternError("grid dimensions must be positive")
     if not 1 <= k <= m * n:
         raise PatternError(f"need 1 <= k <= {m * n}, got k={k}")
     gen = SplitMix64(seed)
     mn = m * n
-    while True:
+    for _ in range(_MAX_DRAWS):
         cells = [gen.randrange(k) for _ in range(mn)]
         if len(set(cells)) == k:
             return ColorGrid(m, n, k, tuple(cells))
+    raise PatternError(
+        f"no random {m}x{n} colouring with all {k} colours in {_MAX_DRAWS} draws"
+    )
 
 
 def color_partition(grid: ColorGrid) -> Partition:

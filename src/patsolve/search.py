@@ -15,37 +15,36 @@ against each clique member in turn and then joins the clique.  Merging
 an isolated vertex with a clique member leaves the merged vertex in the
 clique, so the shape survives descent as well, and the chromatic numbers
 that bound any constructible partition below a node are simply the
-clique sizes: lower_bound = sum over colours of max(1, |clique|).
+clique sizes: the bound is the sum over colours of max(1, |clique|).
 Children whose bound reaches the incumbent size are pruned.
 
-Two implementations live here.  The value-level operations
-(``make_root``, ``enumerate_children``, ``forced_child``,
-``child_node``) build fresh immutable nodes and exist for inspection
-and testing.  ``solve`` runs the same tree on mutable state: rollback
-union-find for parts and glue slots (every parent write is logged and
-undone on backtrack), a doubly linked list of live parts in canonical
-order, and per-colour clique sets.  Equal seeds give equal runs.
+One engine runs the tree, on mutable state with exact rollback: a
+single union-find over the glue slots and the parts, linked by size
+without path compression so that undo is popping one trail of linked
+roots; a doubly linked list of live parts in canonical order; and
+per-colour clique sets.  The path from the root is an explicit stack of
+per-node child generators, so no recursion limit applies and ``solve``
+changes no process state.  Equal seeds give equal runs.
 
 Incumbents cost about one pass over the grid, not a rebuild.  The slot
-union-find already is the MGTA of the current partition, so the glue
-assignment is read off it: live anchors in list order are the parts in
-canonical order, and the roots of their N, E, S, W slots, numbered by
-first occurrence, are exactly the class ids ``build_mgta`` would give.
-The assignment still goes through ``extract_tas``, with its
-constructibility and colour checks, and the resulting tile system
+nodes of the union-find already are the MGTA of the current partition,
+so the glue assignment is read off them: live anchors in list order are
+the parts in canonical order, and the roots of their N, E, S, W slots,
+numbered by first occurrence, are exactly the class ids ``build_mgta``
+would give.  The assignment still goes through ``extract_tas``, with
+its constructibility and colour checks, and the resulting tile system
 through ``verify_solution`` before it is adopted.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 
 from .atam import verify_solution
-from .mgta import E, N, S, W, build_mgta, constructibility, extract_tas, merge_tiles
-from .mgta import GlueAssignment
-from .partition import Partition, canonical_signature, initial_partition, partition_from_labels
+from .mgta import E, N, S, W, GlueAssignment, extract_tas
+from .mgta import build_mgta  # noqa: F401  (perfbench traces the layer calls made from here)
+from .partition import Partition, canonical_signature, partition_from_labels
 from .pattern import ColorGrid
 from .rng import SplitMix64
 from .tiles import TileSystem
@@ -150,171 +149,23 @@ class NodeInfo:
 
 
 # ---------------------------------------------------------------------------
-# value-level search nodes
-
-
-@dataclass(frozen=True)
-class ConstraintGraphs:
-    """Per-colour forbidden-pair graphs in clique-plus-isolated form: the
-    edge set is exactly all pairs within ``clique[colour]``."""
-
-    clique: tuple[frozenset[int], ...]
-    isolated: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    grid: ColorGrid
-    partition: Partition
-    glues: GlueAssignment
-    graphs: ConstraintGraphs
-    bound: int
-
-
-@dataclass(frozen=True)
-class ChildMove:
-    """One edge of the search tree: merge parts p1 and p2 (ids in the parent
-    partition).  ``cliques_before`` is the clique state of every colour at
-    the moment this child was enumerated; the child's own graphs are the
-    image of that state under the merge."""
-
-    p1: int
-    p2: int
-    color: int
-    cliques_before: tuple[frozenset[int], ...]
-
-
-def lower_bound(graphs: ConstraintGraphs) -> int:
-    """Sum over colours of the chromatic number of the forbidden graph,
-    which in clique-plus-isolated form is max(1, clique size)."""
-    return sum(max(1, len(c)) for c in graphs.clique)
-
-
-def _part_colors(grid: ColorGrid, p: Partition) -> list[int]:
-    out = [-1] * p.num_parts
-    for i, lab in enumerate(p.labels):
-        if out[lab] < 0:
-            out[lab] = grid.cells[i]
-    return out
-
-
-def make_root(grid: ColorGrid) -> SearchNode:
-    p = initial_partition(grid.m, grid.n)
-    cliques = tuple(frozenset() for _ in range(grid.k))
-    iso = [set() for _ in range(grid.k)]
-    for cell, colour in enumerate(grid.cells):
-        iso[colour].add(cell)
-    graphs = ConstraintGraphs(cliques, tuple(frozenset(s) for s in iso))
-    return SearchNode(grid, p, build_mgta(p), graphs, lower_bound(graphs))
-
-
-def check_special_form(node: SearchNode) -> bool:
-    """The structural invariant of node graphs: per colour, clique and
-    isolated sets are disjoint and together cover exactly that colour's
-    parts."""
-    colors = _part_colors(node.grid, node.partition)
-    for col in range(node.grid.k):
-        want = {p for p, c in enumerate(colors) if c == col}
-        cl, iso = node.graphs.clique[col], node.graphs.isolated[col]
-        if cl & iso or (cl | iso) != want:
-            return False
-    return True
-
-
-def enumerate_children(node: SearchNode, rng: SplitMix64) -> list[ChildMove]:
-    """Ordered child list of a constructible node.
-
-    Takes isolated vertices in canonical order (one pick in _DEVIATION is
-    random instead), emits each one's pairs against the current clique of
-    its colour in shuffled order, then moves it into the clique, until
-    every graph is a complete clique.  A node with t_k not-yet-excluded
-    vertices of colour k yields exactly sum_k C(t_k, 2) children minus
-    the already forbidden pairs.
-    """
-    if not constructibility(node.glues).is_constructible:
-        raise ValueError("only constructible nodes have enumerated children")
-    colors = _part_colors(node.grid, node.partition)
-    cliques = [set(c) for c in node.graphs.clique]
-    todo = sorted(v for s in node.graphs.isolated for v in s)
-    moves: list[ChildMove] = []
-    i = 0
-    while i < len(todo):
-        if len(todo) - i > 1 and rng.randrange(_DEVIATION) == 0:
-            j = i + rng.randrange(len(todo) - i)
-            todo[i], todo[j] = todo[j], todo[i]
-        v = todo[i]
-        i += 1
-        col = colors[v]
-        members = sorted(cliques[col])
-        if len(members) > 1:
-            rng.shuffle(members)
-        snapshot = tuple(frozenset(c) for c in cliques)
-        for u in members:
-            moves.append(ChildMove(p1=v, p2=u, color=col, cliques_before=snapshot))
-        cliques[col].add(v)
-    return moves
-
-
-def forced_child(node: SearchNode) -> ChildMove | None:
-    """The single child of a conflicted node, or None when the branch dies:
-    the conflicting pair crosses colours, or was already excluded (both
-    ends in the clique)."""
-    verdict = constructibility(node.glues)
-    if verdict.is_constructible:
-        raise ValueError("only conflicted nodes have a forced child")
-    p1, p2 = verdict.conflict
-    colors = _part_colors(node.grid, node.partition)
-    if colors[p1] != colors[p2]:
-        return None
-    col = colors[p1]
-    if p1 in node.graphs.clique[col] and p2 in node.graphs.clique[col]:
-        return None
-    return ChildMove(p1=p1, p2=p2, color=col, cliques_before=node.graphs.clique)
-
-
-def child_node(node: SearchNode, move: ChildMove) -> SearchNode:
-    """Apply a move: merge the parts, merge their glue classes, and map the
-    recorded clique state through the merge.  The merged vertex inherits
-    clique membership from either endpoint, so the special form survives."""
-    glues = merge_tiles(node.glues, move.p1, move.p2)
-    newp = glues.partition
-    idmap: dict[int, int] = {}
-    for old, new in zip(node.partition.labels, newp.labels):
-        idmap[old] = new
-    k = node.grid.k
-    cliques = tuple(
-        frozenset(idmap[x] for x in move.cliques_before[col]) for col in range(k)
-    )
-    colors = _part_colors(node.grid, newp)
-    iso = tuple(
-        frozenset(p for p in range(newp.num_parts) if colors[p] == col)
-        - cliques[col]
-        for col in range(k)
-    )
-    graphs = ConstraintGraphs(cliques, iso)
-    return SearchNode(node.grid, newp, glues, graphs, lower_bound(graphs))
-
-
-# ---------------------------------------------------------------------------
 # the engine
-
-
-class _Cutoff(Exception):
-    pass
 
 
 class _Engine:
     """Mutable search state with exact rollback.
 
     Parts are identified by their anchor, the smallest cell they contain;
-    anchors are stable across merges (the smaller survives) and the live
-    anchors sit in a doubly linked list in canonical order, so scans see
-    parts in first-occurrence order without sorting.  Glue classes live
-    in a union-find over the 4*m*n per-cell side slots; the adjacency
-    identifications are installed once at startup and part merges add
-    four slot unions each.  Every parent-pointer and size write, path
-    compression included, is pushed on a trail, and undoing a merge pops
-    the trails back to their recorded marks.
+    the live anchors sit in a doubly linked list in canonical order, so
+    scans see parts in first-occurrence order without sorting.  One
+    union-find holds two kinds of node: the 4*m*n per-cell glue slots
+    (``4*cell + side``) and one part node per cell (``4*m*n + cell``).
+    The adjacency identifications of the slots are installed once at
+    startup; a part merge links the two part nodes and unites the parts'
+    four slot pairs.  Roots are linked by size and finds never compress,
+    so a find walks at most O(log n) links and only a link writes.  Every
+    link pushes the linked root on one trail, and undoing a merge pops the
+    trail back to its mark, unlinking each root from its parent.
     """
 
     def __init__(self, grid, cfg, progress, on_incumbent, observer, shared,
@@ -333,21 +184,11 @@ class _Engine:
         self.use_graph_pruning = use_graph_pruning
         self.rng = SplitMix64(cfg.rng_seed)
 
-        # glue slot union-find (slot = 4*cell + side) with write trails
-        self.sparent = list(range(4 * mn))
-        self.ssize = [1] * (4 * mn)
-        self.sti: list[int] = []
-        self.stv: list[int] = []
-        self.ssi: list[int] = []
-        self.ssv: list[int] = []
-        # part union-find over cells, same scheme
-        self.pparent = list(range(mn))
-        self.psize = [1] * mn
-        self.pti: list[int] = []
-        self.ptv: list[int] = []
-        self.psi: list[int] = []
-        self.psv: list[int] = []
-        self.anchor_of = list(range(mn))  # per part root; only roots are valid
+        # glue slots 0 .. 4*mn-1, then part nodes 4*mn .. 5*mn-1
+        self.pbase = 4 * mn
+        self.parent = list(range(5 * mn))
+        self.size = [1] * (5 * mn)
+        self.trail: list[int] = []
 
         # live anchors in ascending order, sentinel at index mn
         self.nxt = list(range(1, mn + 1)) + [0]
@@ -370,75 +211,36 @@ class _Engine:
             x = c % m + 1
             y = c // m + 1
             if x < m:
-                self._sunion(4 * c + E, 4 * (c + 1) + W)
+                self._union(4 * c + E, 4 * (c + 1) + W)
             if y < self.n:
-                self._sunion(4 * c + N, 4 * (c + m) + S)
+                self._union(4 * c + N, 4 * (c + m) + S)
 
     # -- rollback union-find ------------------------------------------------
 
-    def _sfind(self, s: int) -> int:
-        p = self.sparent
-        r = s
-        while p[r] != r:
-            r = p[r]
-        ti, tv = self.sti, self.stv
-        while p[s] != r:
-            nx = p[s]
-            ti.append(s)
-            tv.append(nx)
-            p[s] = r
-            s = nx
-        return r
-
-    def _sunion(self, a: int, b: int) -> None:
-        ra, rb = self._sfind(a), self._sfind(b)
-        if ra == rb:
+    def _union(self, a: int, b: int) -> None:
+        p = self.parent
+        while p[a] != a:
+            a = p[a]
+        while p[b] != b:
+            b = p[b]
+        if a == b:
             return
-        sz = self.ssize
-        if sz[ra] < sz[rb]:
-            ra, rb = rb, ra
-        self.sti.append(rb)
-        self.stv.append(rb)
-        self.sparent[rb] = ra
-        self.ssi.append(ra)
-        self.ssv.append(sz[ra])
-        sz[ra] += sz[rb]
-
-    def _pfind(self, c: int) -> int:
-        p = self.pparent
-        r = c
-        while p[r] != r:
-            r = p[r]
-        ti, tv = self.pti, self.ptv
-        while p[c] != r:
-            nx = p[c]
-            ti.append(c)
-            tv.append(nx)
-            p[c] = r
-            c = nx
-        return r
+        sz = self.size
+        if sz[a] < sz[b]:
+            a, b = b, a
+        p[b] = a
+        sz[a] += sz[b]
+        self.trail.append(b)
 
     # -- merge and undo -----------------------------------------------------
 
     def _apply_merge(self, lo: int, hi: int, col: int):
         """Unite the parts anchored at lo < hi (same colour col).  Returns an
         opaque record for _undo_merge."""
-        marks = (len(self.sti), len(self.ssi), len(self.pti), len(self.psi))
-        ra, rb = self._pfind(lo), self._pfind(hi)
-        sz = self.psize
-        if sz[ra] < sz[rb]:
-            ra, rb = rb, ra
-        self.pti.append(rb)
-        self.ptv.append(rb)
-        self.pparent[rb] = ra
-        self.psi.append(ra)
-        self.psv.append(sz[ra])
-        sz[ra] += sz[rb]
-        old_anchor = self.anchor_of[ra]
-        self.anchor_of[ra] = lo
-
-        for d in (N, E, S, W):
-            self._sunion(4 * lo + d, 4 * hi + d)
+        mark = len(self.trail)
+        self._union(self.pbase + lo, self.pbase + hi)
+        for d in range(4):
+            self._union(4 * lo + d, 4 * hi + d)
 
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = nxt[hi]
@@ -452,10 +254,10 @@ class _Engine:
         added_lo = removed_hi and lo not in cl
         if added_lo:
             cl.add(lo)
-        return (marks, ra, old_anchor, lo, hi, col, removed_hi, added_lo)
+        return (mark, lo, hi, col, removed_hi, added_lo)
 
     def _undo_merge(self, rec) -> None:
-        marks, ra, old_anchor, lo, hi, col, removed_hi, added_lo = rec
+        mark, lo, hi, col, removed_hi, added_lo = rec
         cl = self.clique[col]
         if added_lo:
             cl.remove(lo)
@@ -465,20 +267,11 @@ class _Engine:
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = hi
         prv[nxt[hi]] = hi
-        self.anchor_of[ra] = old_anchor
-        smark_t, smark_s, pmark_t, pmark_s = marks
-        sti, stv, sp = self.sti, self.stv, self.sparent
-        while len(sti) > smark_t:
-            sp[sti.pop()] = stv.pop()
-        ssi, ssv, ss = self.ssi, self.ssv, self.ssize
-        while len(ssi) > smark_s:
-            ss[ssi.pop()] = ssv.pop()
-        pti, ptv, pp = self.pti, self.ptv, self.pparent
-        while len(pti) > pmark_t:
-            pp[pti.pop()] = ptv.pop()
-        psi, psv, ps = self.psi, self.psv, self.psize
-        while len(psi) > pmark_s:
-            ps[psi.pop()] = psv.pop()
+        trail, p, sz = self.trail, self.parent, self.size
+        while len(trail) > mark:
+            b = trail.pop()
+            sz[p[b]] -= sz[b]
+            p[b] = b
 
     # -- determinism scan ---------------------------------------------------
 
@@ -486,35 +279,19 @@ class _Engine:
         """First pair of live parts (canonical order) sharing both S and W
         glue classes, or None.  Inlined slot finds keep this hot path flat."""
         nxt = self.nxt
-        sp = self.sparent
-        sti, stv = self.sti, self.stv
+        p = self.parent
         mn = self.mn
         stride = 4 * mn
         seen: dict[int, int] = {}
         a = nxt[mn]
         while a != mn:
-            s = 4 * a + 2  # south slot
-            r = s
-            while sp[r] != r:
-                r = sp[r]
-            while sp[s] != r:
-                nx = sp[s]
-                sti.append(s)
-                stv.append(nx)
-                sp[s] = r
-                s = nx
-            south = r
-            w = 4 * a + 3  # west slot
-            r = w
-            while sp[r] != r:
-                r = sp[r]
-            while sp[w] != r:
-                nx = sp[w]
-                sti.append(w)
-                stv.append(nx)
-                sp[w] = r
-                w = nx
-            key = south * stride + r
+            south = 4 * a + S
+            while p[south] != south:
+                south = p[south]
+            west = 4 * a + W
+            while p[west] != west:
+                west = p[west]
+            key = south * stride + west
             other = seen.get(key)
             if other is not None:
                 return (other, a)
@@ -530,20 +307,32 @@ class _Engine:
         if re is not None and self.merges % re == 0 and self.progress is not None:
             self.progress(self.merges, self.best)
 
+    def _part_roots(self) -> list[int]:
+        """Per cell, the root of its part node."""
+        p = self.parent
+        roots = []
+        for r in range(self.pbase, self.pbase + self.mn):
+            while p[r] != r:
+                r = p[r]
+            roots.append(r)
+        return roots
+
     def _snapshot_partition(self) -> Partition:
-        anchor_of, pfind = self.anchor_of, self._pfind
-        return partition_from_labels(
-            self.m, self.n, [anchor_of[pfind(c)] for c in range(self.mn)]
-        )
+        # partition_from_labels renumbers by first occurrence, so the roots
+        # serve as labels
+        return partition_from_labels(self.m, self.n, self._part_roots())
 
     def _observe(self, constructible: bool) -> None:
-        part = self._snapshot_partition()
+        roots = self._part_roots()
+        # cells come in ascending order, so the first cell seen with a root
+        # is its part's anchor
+        anchor: dict[int, int] = {}
         self.observer(
             NodeInfo(
-                signature=canonical_signature(part),
-                part_anchors=tuple(
-                    self.anchor_of[self._pfind(c)] for c in range(self.mn)
+                signature=canonical_signature(
+                    partition_from_labels(self.m, self.n, roots)
                 ),
+                part_anchors=tuple(anchor.setdefault(r, c) for c, r in enumerate(roots)),
                 cliques=tuple(frozenset(s) for s in self.clique),
                 num_parts=self.num_parts,
                 bound=self.bound,
@@ -553,16 +342,15 @@ class _Engine:
         )
 
     def _glue_assignment(self, part: Partition) -> GlueAssignment:
-        """The MGTA of the current partition, read off the slot union-find.
+        """The MGTA of the current partition, read off the union-find.
 
-        The union-find already holds the MGTA's classes: adjacency links
+        The slot nodes already hold the MGTA's classes: adjacency links
         are installed at startup and every merge unites its parts' four
         slots.  Part ids of ``part`` follow canonical order, which is the
         order of the live anchor list, so numbering the slot roots of each
         live anchor's N, E, S, W sides by first occurrence gives exactly
-        the ids ``build_mgta(part)`` gives.  Finds here walk to the root
-        without compressing, so they leave the trail alone."""
-        sp = self.sparent
+        the ids ``build_mgta(part)`` gives."""
+        p = self.parent
         ids: dict[int, int] = {}
         quads = []
         nxt, mn = self.nxt, self.mn
@@ -570,8 +358,8 @@ class _Engine:
         while a != mn:
             quad = []
             for r in range(4 * a, 4 * a + 4):
-                while sp[r] != r:
-                    r = sp[r]
+                while p[r] != r:
+                    r = p[r]
                 quad.append(ids.setdefault(r, len(ids)))
             quads.append(tuple(quad))
             a = nxt[a]
@@ -600,55 +388,69 @@ class _Engine:
 
     # -- the tree -----------------------------------------------------------
 
-    def _visit(self) -> None:
-        """Process the node the state currently sits on: resolve forced
-        merges, then either abandon the branch or expand children.  Undo
-        runs in a finally so that a cutoff unwinds through consistent
-        state at every level."""
-        chain = []
-        try:
-            dead = False
-            while True:
-                conflict = self._find_conflict()
-                if self.observer is not None:
-                    self._observe(conflict is None)
-                if conflict is None:
-                    break
-                p1, p2 = conflict
-                col = self.colors[p1]
-                if self.colors[p2] != col:
-                    dead = True  # merging across colours can never respect the pattern
-                    break
-                if (
-                    self.use_graph_pruning
-                    and p1 in self.clique[col]
-                    and p2 in self.clique[col]
-                ):
-                    dead = True  # pair already excluded on another branch
-                    break
-                if self.merges >= self.cutoff:
-                    raise _Cutoff
-                chain.append(self._apply_merge(p1, p2, col))
-                self._tick()
-            if not dead:
-                self._expand()
-        finally:
-            for rec in reversed(chain):
-                self._undo_merge(rec)
+    def _run(self) -> bool:
+        """Walk the tree below the current state depth first.  Returns True
+        when the tree is exhausted, False when the cutoff stopped it.
 
-    def _expand(self) -> None:
+        ``stack`` holds one child generator per node on the current path
+        and ``merged`` the merge records of the path's edges.  A cutoff
+        abandons both with the state mid-tree: the engine is not used
+        after it."""
+        stack = [self._node()]
+        merged = []
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if merged:
+                    self._undo_merge(merged.pop())
+                continue
+            if self.merges >= self.cutoff:
+                return False
+            merged.append(self._apply_merge(*move))
+            self._tick()
+            stack.append(self._node())
+        return True
+
+    def _pruned(self) -> bool:
+        limit = self.best if self.shared is None else min(self.best, self.shared.value)
+        return self.use_bound and self.bound >= limit
+
+    def _node(self):
+        """Yield the children of the node the state sits on, as merges
+        (lo, hi, colour); the state is back at this node whenever a child
+        is asked for.
+
+        A conflicted node has one child, the merge of its conflicting
+        pair, or none when the pair crosses colours or was already
+        excluded.  A constructible node may become the incumbent and then
+        yields its children in clique order, undoing its clique joins
+        after the last one."""
+        conflict = self._find_conflict()
+        if self.observer is not None:
+            self._observe(conflict is None)
+        colors, clique = self.colors, self.clique
+        if conflict is not None:
+            p1, p2 = conflict
+            col = colors[p1]
+            if colors[p2] != col:
+                return  # merging across colours can never respect the pattern
+            if self.use_graph_pruning and p1 in clique[col] and p2 in clique[col]:
+                return  # pair already excluded on another branch
+            yield p1, p2, col
+            return
+
         if self.num_parts < self.best:
             self._adopt_incumbent()
         if not self.use_graph_pruning:
-            self._expand_unpruned()
+            yield from self._expand_unpruned()
             return
-        limit = self.best if self.shared is None else min(self.best, self.shared.value)
-        if self.use_bound and self.bound >= limit:
+        if self._pruned():
             return
 
-        nxt, colors, clique = self.nxt, self.colors, self.clique
         # isolated vertices in canonical anchor order; the scan order of the
         # live list is exactly that order
+        nxt = self.nxt
         todo: list[int] = []
         a = nxt[self.mn]
         while a != self.mn:
@@ -664,53 +466,39 @@ class _Engine:
         # shuffle below this is the randomization between same-config runs.
         joins: list[tuple[int, int]] = []
         stop = False
-        try:
-            i = 0
-            while i < len(todo) and not stop:
-                if len(todo) - i > 1 and self.rng.randrange(_DEVIATION) == 0:
-                    j = i + self.rng.randrange(len(todo) - i)
-                    todo[i], todo[j] = todo[j], todo[i]
-                v = todo[i]
-                i += 1
-                col = colors[v]
-                cl = clique[col]
-                members = sorted(cl)
-                if len(members) > 1:
-                    self.rng.shuffle(members)
-                for u in members:
-                    limit = (
-                        self.best
-                        if self.shared is None
-                        else min(self.best, self.shared.value)
-                    )
-                    if self.use_bound and self.bound >= limit:
-                        stop = True
-                        break
-                    if self.merges >= self.cutoff:
-                        raise _Cutoff
-                    lo, hi = (v, u) if v < u else (u, v)
-                    rec = self._apply_merge(lo, hi, col)
-                    self._tick()
-                    try:
-                        self._visit()
-                    finally:
-                        self._undo_merge(rec)
-                if not stop:
-                    cl.add(v)
-                    joins.append((col, v))
-                    if len(cl) >= 2:
-                        self.bound += 1
-        finally:
-            for col, v in reversed(joins):
-                cl = self.clique[col]
-                cl.remove(v)
-                if len(cl) >= 1:
-                    self.bound -= 1
+        i = 0
+        while i < len(todo) and not stop:
+            if len(todo) - i > 1 and self.rng.randrange(_DEVIATION) == 0:
+                j = i + self.rng.randrange(len(todo) - i)
+                todo[i], todo[j] = todo[j], todo[i]
+            v = todo[i]
+            i += 1
+            col = colors[v]
+            cl = clique[col]
+            members = sorted(cl)
+            if len(members) > 1:
+                self.rng.shuffle(members)
+            for u in members:
+                if self._pruned():
+                    stop = True
+                    break
+                yield (v, u, col) if v < u else (u, v, col)
+            if not stop:
+                cl.add(v)
+                joins.append((col, v))
+                if len(cl) >= 2:
+                    self.bound += 1
+        for col, v in reversed(joins):
+            cl = clique[col]
+            cl.remove(v)
+            if len(cl) >= 1:
+                self.bound -= 1
 
-    def _expand_unpruned(self) -> None:
-        """Child enumeration with the graphs disabled: every same-colour
-        pair, no exclusions, no bound.  Exists to test that pruning never
-        changes the optimum; exponentially slower, tiny grids only."""
+    def _expand_unpruned(self) -> list[tuple[int, int, int]]:
+        """Child merges with the graphs disabled: every same-colour pair in
+        shuffled order, no exclusions, no bound.  Exists to test that
+        pruning never changes the optimum; exponentially slower, tiny
+        grids only."""
         alive: list[int] = []
         a = self.nxt[self.mn]
         while a != self.mn:
@@ -723,15 +511,7 @@ class _Engine:
             if self.colors[alive[i]] == self.colors[alive[j]]
         ]
         self.rng.shuffle(pairs)
-        for lo, hi, col in pairs:
-            if self.merges >= self.cutoff:
-                raise _Cutoff
-            rec = self._apply_merge(lo, hi, col)
-            self._tick()
-            try:
-                self._visit()
-            finally:
-                self._undo_merge(rec)
+        return pairs
 
 
 def solve(
@@ -755,7 +535,10 @@ def solve(
     system, partition) on improvements; ``observer`` with a NodeInfo at
     every visited node (slow, meant for audits).  ``use_bound`` and
     ``use_graph_pruning`` exist for testing; disabling the graphs also
-    disables the bound, which is defined on them.
+    disables the bound, which is defined on them.  The search keeps its
+    path on an explicit stack, so the depth of the tree is bounded by
+    memory alone and no process-wide state, the recursion limit
+    included, is read or changed.
     """
     engine = _Engine(
         grid,
@@ -767,17 +550,7 @@ def solve(
         use_bound,
         use_graph_pruning,
     )
-    needed = 3 * engine.mn + 200
-    saved_limit = sys.getrecursionlimit()
-    if saved_limit < needed:
-        sys.setrecursionlimit(needed)
-    proven = True
-    try:
-        engine._visit()
-    except _Cutoff:
-        proven = False
-    finally:
-        sys.setrecursionlimit(saved_limit)
+    proven = engine._run()
     assert engine.best_system is not None and engine.best_partition is not None
     return SolveResult(
         best_size=engine.best,

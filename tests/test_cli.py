@@ -51,6 +51,14 @@ class TestGenerate:
         assert code == 1
         assert stderr.startswith("error:")
 
+    def test_rare_onto_colouring_fails_fast(self, capsys):
+        code, _, stderr = run(
+            capsys, "generate", "--type", "random", "--m", "5", "--n", "5",
+            "--k", "25",
+        )
+        assert code == 1
+        assert stderr.startswith("error:")
+
 
 class TestSolve:
     def test_exact_run_writes_everything(self, tmp_path, capsys):

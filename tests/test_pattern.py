@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -154,6 +155,13 @@ class TestGenerators:
     def test_random_k_equals_cells(self):
         g = gen_random(2, 2, 4, 7)
         assert sorted(g.cells) == [0, 1, 2, 3]
+
+    def test_random_gives_up_on_rare_onto_colourings(self):
+        # an onto 25-colouring of 5x5 turns up once in about 5.8e9 draws
+        start = time.perf_counter()
+        with pytest.raises(PatternError, match="in 1000 draws"):
+            gen_random(5, 5, 25, 0)
+        assert time.perf_counter() - start < 5
 
 
 def test_color_partition_parts_are_colour_preimages():

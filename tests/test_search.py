@@ -11,23 +11,16 @@ from patsolve import (
     ColorGrid,
     SharedIncumbent,
     SolveConfig,
-    SplitMix64,
     brute_constructible,
     build_mgta,
-    check_special_form,
-    child_node,
     color_partition,
     constructibility,
-    enumerate_children,
     enumerate_min_tileset,
     extract_tas,
-    forced_child,
     gen_random,
     gen_sierpinski,
     initial_partition,
     iter_set_partitions,
-    lower_bound,
-    make_root,
     merge_parts,
     partition_from_labels,
     refines,
@@ -64,102 +57,155 @@ class TestSolveConfig:
             SolveConfig(mode="bestfirst")
 
 
+def observe(grid, seed=0, **options):
+    """Every node the engine visits on an exact solve, in visiting order,
+    as (NodeInfo, Partition) pairs."""
+    seen = []
+    solve(grid, SolveConfig.exact(seed=seed), observer=seen.append, **options)
+    return [(info, partition_from_labels(grid.m, grid.n, info.part_anchors)) for info in seen]
+
+
+def sample_grids():
+    """Every two-coloured 2x2 and 2x3 grid and a sample of three-coloured
+    2x3 grids."""
+    yield from onto_colorings(2, 2)
+    yield from onto_colorings(2, 3)
+    yield from itertools.islice(onto_colorings(2, 3, k=3), 0, 540, 9)
+
+
 class TestNodeApi:
+    """The nodes the engine visits, as its observer sees them."""
+
     def test_root_shape(self):
-        g = ColorGrid(2, 2, 2, (0, 1, 1, 0))
-        root = make_root(g)
-        assert root.partition == initial_partition(2, 2)
-        assert root.bound == 2  # one singleton clique allowance per colour
-        assert all(not c for c in root.graphs.clique)
-        assert check_special_form(root)
+        for g in (ColorGrid(2, 2, 2, (0, 1, 1, 0)), gen_random(3, 3, 3, 4)):
+            root, _ = observe(g)[0]
+            assert root.part_anchors == tuple(range(g.m * g.n))  # discrete
+            assert root.bound == g.k  # one singleton clique allowance per colour
+            assert all(not c for c in root.cliques)
+            assert root.constructible and root.merges == 0
 
     def test_lower_bound_arithmetic(self):
-        g = ColorGrid(2, 2, 2, (0, 1, 1, 0))
-        root = make_root(g)
-        assert lower_bound(root.graphs) == 2
+        # without the bound the search reaches nodes with large cliques
+        nodes = observe(gen_random(3, 3, 3, 4), use_bound=False)
+        assert max(len(c) for info, _ in nodes for c in info.cliques) >= 3
+        for info, _ in nodes:
+            assert info.bound == sum(max(1, len(c)) for c in info.cliques)
 
     def test_enumerate_children_count(self):
-        # three cells of one colour, one of the other: C(3,2) + 0 children
+        # three cells of one colour, one of the other: C(3,2) + 0 children,
+        # each the merge of a same-coloured pair of cells
         g = ColorGrid(2, 2, 2, (0, 1, 1, 1))
-        moves = enumerate_children(make_root(g), SplitMix64(3))
-        assert len(moves) == 3
-        for mv in moves:
-            assert g.cells[mv.p1] == g.cells[mv.p2] == mv.color
+        root = initial_partition(2, 2)
+        pairs = [(a, b) for a, b in itertools.combinations(range(4), 2)
+                 if g.cells[a] == g.cells[b]]
+        children = [part for info, part in observe(g, seed=3, use_bound=False)
+                    if info.num_parts == 3]
+        assert sorted(c.labels for c in children) == sorted(
+            merge_parts(root, a, b).labels for a, b in pairs
+        )
 
     def test_enumeration_count_general(self):
         # sum over colours of C(n_k, 2) at a fresh root
-        g = ColorGrid(3, 3, 2, (0, 0, 1, 0, 1, 1, 0, 1, 0))
-        n0 = sum(1 for c in g.cells if c == 0)
-        n1 = 9 - n0
-        moves = enumerate_children(make_root(g), SplitMix64(0))
-        want = n0 * (n0 - 1) // 2 + n1 * (n1 - 1) // 2
-        assert len(moves) == want
+        for g in (ColorGrid(3, 3, 2, (0, 0, 1, 0, 1, 1, 0, 1, 0)), gen_random(3, 3, 3, 4)):
+            counts = [g.cells.count(c) for c in range(g.k)]
+            nodes = observe(g, use_bound=False)
+            children = [info for info, _ in nodes if info.num_parts == g.m * g.n - 1]
+            assert len(children) == sum(c * (c - 1) // 2 for c in counts)
 
     def test_enumerate_requires_constructible(self):
-        node = build_node([0, 1, 0, 1, 0, 2], (0, 1, 0, 1, 0, 1), 2)
-        with pytest.raises(ValueError):
-            enumerate_children(node, SplitMix64(0))
+        # Below a node the visit order lists its subtree contiguously, and no
+        # later node coarsens it (later branches keep an excluded pair of it
+        # apart), so its children are the nodes of that run with one part
+        # fewer.  A conflicted node has at most one; constructible ones
+        # branch.
+        branching = 0
+        for g in sample_grids():
+            nodes = observe(g, seed=5)
+            for i, (info, part) in enumerate(nodes):
+                children = []
+                for _, later in nodes[i + 1:]:
+                    if not refines(later, part):
+                        break
+                    if later.num_parts == part.num_parts - 1:
+                        children.append(later)
+                if not info.constructible:
+                    assert len(children) <= 1, (g.cells, part.labels)
+                branching += len(children) > 1
+        assert branching
 
     def test_child_node_keeps_special_form(self):
-        g = ColorGrid(2, 2, 2, (0, 1, 1, 1))
-        root = make_root(g)
-        for mv in enumerate_children(root, SplitMix64(1)):
-            child = child_node(root, mv)
-            assert check_special_form(child)
-            assert child.partition.num_parts == 3
+        # every part is one colour, and every clique holds live anchors of
+        # its own colour only
+        for g in sample_grids():
+            for info, part in observe(g, seed=1):
+                assert refines(color_partition(g), part)
+                anchors = set(info.part_anchors)
+                for col, clique in enumerate(info.cliques):
+                    assert clique <= anchors
+                    assert all(g.cells[a] == col for a in clique)
 
 
-def build_node(labels, colors, k):
-    """A SearchNode over an arbitrary partition with all parts isolated."""
-    from patsolve.search import ConstraintGraphs, SearchNode
+def visited_nodes():
+    """Every node the engine visits on the sample grids and on random 4x4
+    grids, as (grid, NodeInfo, partition, ``constructibility`` verdict,
+    next node's partition or None).  The sample grids run with the bound
+    off, so that the search goes deep enough to meet excluded pairs; the
+    4x4 grids add nodes with several conflicts to choose from."""
+    runs = [(g, {"use_bound": False}) for g in sample_grids()]
+    runs += [(gen_random(4, 4, k, s), {}) for k in (2, 3) for s in range(4)]
+    for g, options in runs:
+        nodes = observe(g, seed=7, **options)
+        for i, (info, part) in enumerate(nodes):
+            after = nodes[i + 1][1] if i + 1 < len(nodes) else None
+            yield g, info, part, constructibility(build_mgta(part)), after
 
-    g = ColorGrid(2, 3, k, colors)
-    p = partition_from_labels(2, 3, labels)
-    colors_of = [-1] * p.num_parts
-    for i, lab in enumerate(p.labels):
-        if colors_of[lab] < 0:
-            colors_of[lab] = g.cells[i]
-    iso = [set() for _ in range(k)]
-    for part, col in enumerate(colors_of):
-        iso[col].add(part)
-    graphs = ConstraintGraphs(
-        tuple(frozenset() for _ in range(k)), tuple(frozenset(s) for s in iso)
-    )
-    return SearchNode(g, p, build_mgta(p), graphs, lower_bound(graphs))
+
+def conflicted_steps():
+    """For every conflicted node of ``visited_nodes``: its partition, the
+    conflict pair ``constructibility`` reports, whether the pair is one
+    colour, whether it is excluded, and the next node's partition."""
+    for g, info, part, verdict, after in visited_nodes():
+        if verdict.is_constructible:
+            continue
+        p1, p2 = verdict.conflict
+        anchors = sorted(set(info.part_anchors))  # part ids follow ascending anchors
+        a1, a2 = anchors[p1], anchors[p2]
+        col = g.cells[a1]
+        excluded = a1 in info.cliques[col] and a2 in info.cliques[col]
+        yield part, (p1, p2), g.cells[a2] == col, excluded, after
 
 
 class TestForcedChild:
+    """The forced step of the engine against ``mgta.constructibility``."""
+
     def test_same_colour_conflict_is_forced(self):
-        # the known 2x3 conflict with both parts coloured alike
-        node = build_node([0, 1, 0, 1, 0, 2], (0, 1, 0, 1, 0, 1), 2)
-        mv = forced_child(node)
-        assert mv is not None
-        assert {mv.p1, mv.p2} == {1, 2}
+        forced = 0
+        for part, (p1, p2), same_colour, excluded, after in conflicted_steps():
+            if same_colour and not excluded:
+                assert after == merge_parts(part, p1, p2), part.labels
+                forced += 1
+        assert forced
 
     def test_cross_colour_conflict_dies(self):
-        node = build_node([0, 1, 0, 1, 0, 2], (0, 1, 0, 1, 0, 2), 3)
-        assert forced_child(node) is None
+        dead = 0
+        for part, (p1, p2), same_colour, _, after in conflicted_steps():
+            if not same_colour:
+                assert after != merge_parts(part, p1, p2), part.labels
+                dead += 1
+        assert dead
 
     def test_excluded_pair_dies(self):
-        # same conflict, but both parts already sit in their colour's clique
-        from patsolve.search import ConstraintGraphs, SearchNode
+        # the conflicting pair already sits in its colour's clique
+        dead = 0
+        for part, (p1, p2), same_colour, excluded, after in conflicted_steps():
+            if same_colour and excluded:
+                assert after != merge_parts(part, p1, p2), part.labels
+                dead += 1
+        assert dead
 
-        base = build_node([0, 1, 0, 1, 0, 2], (0, 1, 0, 1, 0, 1), 2)
-        cliques = list(base.graphs.clique)
-        iso = list(base.graphs.isolated)
-        col = 1
-        cliques[col] = frozenset({1, 2})
-        iso[col] = iso[col] - {1, 2}
-        graphs = ConstraintGraphs(tuple(cliques), tuple(iso))
-        node = SearchNode(
-            base.grid, base.partition, base.glues, graphs, lower_bound(graphs)
-        )
-        assert forced_child(node) is None
-
-    def test_forced_on_constructible_raises(self):
-        g = ColorGrid(2, 2, 2, (0, 1, 1, 0))
-        with pytest.raises(ValueError):
-            forced_child(make_root(g))
+    def test_constructible_flag_matches_mgta(self):
+        for _, info, part, verdict, _ in visited_nodes():
+            assert info.constructible == verdict.is_constructible, part.labels
 
 
 def test_conflict_pair_merge_dominates_coarsenings():
@@ -179,6 +225,18 @@ def test_conflict_pair_merge_dominates_coarsenings():
             for c in constructible:
                 if refines(c, p):
                     assert refines(c, forced), (p.labels, c.labels)
+
+
+@st.composite
+def small_grids(draw, max_cells=12, max_colours=3):
+    """Onto colourings of grids of at most ``max_cells`` cells with at most
+    ``max_colours`` colours, strips included."""
+    m = draw(st.integers(1, max_cells))
+    n = draw(st.integers(1, max_cells // m))
+    raw = draw(st.lists(st.integers(0, max_colours - 1), min_size=m * n, max_size=m * n))
+    relabel: dict[int, int] = {}
+    cells = tuple(relabel.setdefault(c, len(relabel)) for c in raw)
+    return ColorGrid(m, n, len(relabel), cells)
 
 
 class TestSolveSmall:
@@ -211,6 +269,19 @@ class TestSolveSmall:
         assert (res3.best_size, res3.proven_optimal) == (3, True)
         res4 = solve(gen_sierpinski(4, 4), SolveConfig.exact(seed=0))
         assert (res4.best_size, res4.proven_optimal) == (4, True)
+
+    # every grid the oracle takes (at most 9 cells), k from 1 to 4; an
+    # oracle call on 9 cells takes about 0.06 s
+    @settings(max_examples=300, deadline=None)
+    @given(grid=small_grids(max_cells=9, max_colours=4), seed=st.integers(0, 1000))
+    @example(grid=gen_random(1, 9, 2, 5), seed=5)
+    @example(grid=gen_random(9, 1, 2, 5), seed=5)
+    @example(grid=gen_random(1, 9, 4, 6), seed=6)
+    @example(grid=gen_random(9, 1, 3, 6), seed=6)
+    def test_matches_oracle_on_small_grids(self, grid, seed):
+        res = solve(grid, SolveConfig.exact(seed=seed))
+        assert res.proven_optimal
+        assert res.best_size == enumerate_min_tileset(grid).min_size
 
     def test_deep_strip(self):
         # a 1-wide column exercises long forced chains and deep recursion
@@ -373,17 +444,6 @@ class TestSharedIncumbent:
         assert helped.merges_performed <= alone.merges_performed
 
 
-@st.composite
-def small_grids(draw):
-    """Onto colourings of grids of at most 12 cells, strips included."""
-    m = draw(st.integers(1, 12))
-    n = draw(st.integers(1, 12 // m))
-    raw = draw(st.lists(st.integers(0, 2), min_size=m * n, max_size=m * n))
-    relabel: dict[int, int] = {}
-    cells = tuple(relabel.setdefault(c, len(relabel)) for c in raw)
-    return ColorGrid(m, n, len(relabel), cells)
-
-
 class TestIncumbentAssignment:
     """The engine reads each incumbent's glue assignment off its own slot
     union-find.  build_mgta computes the same assignment from the
@@ -429,17 +489,29 @@ class TestIncumbentAssignment:
         assert len(res.trace) > 100
 
 
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+PROCESS_STATE_SOLVES = pytest.mark.parametrize(
+    "grid, cfg",
+    [
+        (ColorGrid(20, 20, 1, (0,) * 400), SolveConfig.exact(seed=0)),
+        (gen_random(20, 20, 2, 1), SolveConfig.anytime(50, seed=0)),
+    ],
+    ids=["exact", "cutoff"],
+)
+
+
 class TestProcessState:
-    # 20x20 needs a recursion limit of 3*400+200 = 1400, above the 1000
-    # that is set here, so solve has to raise it and put it back
-    @pytest.mark.parametrize(
-        "grid, cfg",
-        [
-            (ColorGrid(20, 20, 1, (0,) * 400), SolveConfig.exact(seed=0)),
-            (gen_random(20, 20, 2, 1), SolveConfig.anytime(50, seed=0)),
-        ],
-        ids=["exact", "cutoff"],
-    )
+    # On 20x20 the exact solve's deepest path is 399 merges long and the
+    # cutoff solve stops mid-tree; either way the recursion limit must be
+    # as solve found it
+    @PROCESS_STATE_SOLVES
     def test_recursion_limit_restored(self, grid, cfg):
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -448,3 +520,18 @@ class TestProcessState:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(saved)
+
+    @PROCESS_STATE_SOLVES
+    def test_no_recursion_limit_needed(self, grid, cfg):
+        # 60 frames above this one are enough only for a solve whose call
+        # depth does not grow with the depth of the tree
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            with mock.patch.object(
+                sys, "setrecursionlimit", side_effect=AssertionError("recursion limit changed")
+            ):
+                res = solve(grid, cfg)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert verify_solution(res.best_system, grid).ok
