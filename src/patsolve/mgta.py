@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .partition import Partition, cell_index, merge_parts, refines
-from .pattern import ColorGrid, color_partition
+from .partition import Partition, cell_index, merge_parts
+from .pattern import ColorGrid
 from .tiles import Tile, TileSystem
 
 # side slot offsets within a cell
@@ -205,37 +205,35 @@ def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
     part, coloured by the part's cells, seed glues read off the south and
     west border classes.
 
-    The partition must respect the grid's colouring (refine the colour
-    partition), otherwise no single colour per tile exists.
+    One pass over the parts checks constructibility (no two parts share
+    an (S, W) pair; ``constructibility`` is consulted only to name the
+    first such pair), and one pass over the cells gives each part its
+    colour while checking that the partition respects the grid's
+    colouring (refines the colour partition), since otherwise no single
+    colour per tile exists.  Raises ValueError when either check fails.
     """
     p = f.partition
-    if (p.m, p.n) != (grid.m, grid.n):
+    m = grid.m
+    if (p.m, p.n) != (m, grid.n):
         raise ValueError("partition and grid dimensions differ")
-    verdict = constructibility(f)
-    if not verdict.is_constructible:
+    glues = f.glues
+    if len({(q[S], q[W]) for q in glues}) < len(glues):
         raise ValueError(
-            f"partition is not constructible: parts {verdict.conflict} share S and W"
+            f"partition is not constructible: parts {constructibility(f).conflict} "
+            "share S and W"
         )
-    if not refines(color_partition(grid), p):
-        raise ValueError("partition does not respect the grid colouring")
 
-    part_color = {}
-    for i, lab in enumerate(p.labels):
-        part_color.setdefault(lab, grid.cells[i])
+    labels = p.labels
+    part_color: list[int | None] = [None] * len(glues)
+    for lab, col in zip(labels, grid.cells):
+        have = part_color[lab]
+        if have is None:
+            part_color[lab] = col
+        elif have != col:
+            raise ValueError("partition does not respect the grid colouring")
     tiles = tuple(
-        Tile(
-            north=f.glues[lab][N],
-            east=f.glues[lab][E],
-            south=f.glues[lab][S],
-            west=f.glues[lab][W],
-            color=part_color[lab],
-        )
-        for lab in range(p.num_parts)
+        Tile(q[N], q[E], q[S], q[W], col) for q, col in zip(glues, part_color)
     )
-    seed_north = tuple(
-        f.glues[p.part_of(x, 1)][S] for x in range(1, grid.m + 1)
-    )
-    seed_east = tuple(
-        f.glues[p.part_of(1, y)][W] for y in range(1, grid.n + 1)
-    )
-    return TileSystem(grid.m, grid.n, tiles, seed_north, seed_east)
+    seed_north = tuple(glues[labels[x]][S] for x in range(m))
+    seed_east = tuple(glues[labels[y * m]][W] for y in range(grid.n))
+    return TileSystem(m, grid.n, tiles, seed_north, seed_east)

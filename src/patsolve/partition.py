@@ -52,7 +52,7 @@ class Partition:
         if seen != set(range(len(seen))):
             raise ValueError("part ids must be compact: 0..num_parts-1, all used")
 
-    @property
+    @cached_property
     def num_parts(self) -> int:
         return len(set(self.labels))
 

@@ -19,6 +19,13 @@ from dataclasses import dataclass
 from .partition import Partition, cell_index
 from .rng import SplitMix64
 
+# The largest grid, in cells, that a pattern may have.  Generators and the
+# parser check it before they allocate anything, so an oversized request
+# is a PatternError (CLI exit 1), not a MemoryError or an out-of-memory
+# kill.  2^20 cells is a 1024x1024 grid, far beyond what the search can
+# solve, while its cell arrays take only tens of megabytes.
+MAX_CELLS = 1 << 20
+
 # gen_random gives up after this many draws that miss a colour: with k
 # close to m*n an onto colouring is too rare to wait for (5x5 with k=25
 # takes about 5.8e9 draws on average)
@@ -27,6 +34,17 @@ _MAX_DRAWS = 1000
 
 class PatternError(ValueError):
     """Malformed pattern text or an invalid grid construction."""
+
+
+def _check_dims(m: int, n: int) -> None:
+    """Raise PatternError unless an m x n grid is nonempty and has at
+    most MAX_CELLS cells."""
+    if m < 1 or n < 1:
+        raise PatternError("grid dimensions must be positive")
+    if m * n > MAX_CELLS:
+        raise PatternError(
+            f"a {m}x{n} grid has {m * n} cells, more than MAX_CELLS={MAX_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,12 +98,14 @@ def parse_pattern(text: str) -> ColorGrid:
     if len(rows) != n:
         raise PatternError(f"expected {n} rows, got {len(rows)}")
     # Every width is checked before the cell array exists, so its size is
-    # bounded by the text's own length, whatever the header claims.
+    # bounded by the text's own length, whatever the header claims, and
+    # then by MAX_CELLS.
     for row_no, toks in enumerate(rows):
         if len(toks) != m:
             raise PatternError(
                 f"row y={n - row_no}: expected {m} entries, got {len(toks)}"
             )
+    _check_dims(m, n)
     cells = [0] * (m * n)
     for row_no, toks in enumerate(rows):
         y = n - row_no  # first data row is the north edge
@@ -120,8 +140,7 @@ def _grid_from_binary(m: int, n: int, bits: list[int]) -> ColorGrid:
 def gen_sierpinski(m: int, n: int) -> ColorGrid:
     """Sierpinski parity pattern: a(x,1) = a(1,y) = 1 and
     a(x,y) = a(x-1,y) XOR a(x,y-1).  Colour 1 is black, 0 white."""
-    if m < 1 or n < 1:
-        raise PatternError("grid dimensions must be positive")
+    _check_dims(m, n)
     bits = [0] * (m * n)
     for y in range(1, n + 1):
         for x in range(1, m + 1):
@@ -136,8 +155,7 @@ def gen_sierpinski(m: int, n: int) -> ColorGrid:
 def gen_binary_counter(m: int, n: int) -> ColorGrid:
     """Binary counter pattern: row y spells the number y in binary with
     the least significant bit at x = 1, so c(x,y) = bit (x-1) of y."""
-    if m < 1 or n < 1:
-        raise PatternError("grid dimensions must be positive")
+    _check_dims(m, n)
     bits = [0] * (m * n)
     for y in range(1, n + 1):
         for x in range(1, m + 1):
@@ -150,8 +168,7 @@ def gen_random(m: int, n: int, k: int, seed: int) -> ColorGrid:
     colour occurs.  Driven by SplitMix64(seed), one draw per cell per
     attempt, so equal seeds give equal grids everywhere.  Raises
     PatternError when _MAX_DRAWS attempts all miss a colour."""
-    if m < 1 or n < 1:
-        raise PatternError("grid dimensions must be positive")
+    _check_dims(m, n)
     if not 1 <= k <= m * n:
         raise PatternError(f"need 1 <= k <= {m * n}, got k={k}")
     gen = SplitMix64(seed)

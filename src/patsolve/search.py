@@ -26,14 +26,15 @@ per-colour clique sets.  The path from the root is an explicit stack of
 per-node child generators, so no recursion limit applies and ``solve``
 changes no process state.  Equal seeds give equal runs.
 
-Incumbents cost about one pass over the grid, not a rebuild.  The slot
-nodes of the union-find already are the MGTA of the current partition,
-so the glue assignment is read off them: live anchors in list order are
-the parts in canonical order, and the roots of their N, E, S, W slots,
-numbered by first occurrence, are exactly the class ids ``build_mgta``
-would give.  The assignment still goes through ``extract_tas``, with
-its constructibility and colour checks, and the resulting tile system
-through ``verify_solution`` before it is adopted.
+Adopting an incumbent is one pass over the cells and rebuilds nothing.
+The slot nodes of the union-find already are the MGTA of the current
+partition, so the pass labels each cell by first occurrence of its part
+root (canonical part order) and, at each part's first cell, numbers the
+roots of its N, E, S, W slots by first occurrence; that gives the
+``Partition`` and exactly the class ids ``build_mgta`` would give.  The
+assignment still goes through ``extract_tas``, with its constructibility
+and colour checks, and the resulting tile system through
+``verify_solution`` before it is adopted.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ from dataclasses import dataclass
 
 from .atam import verify_solution
 from .mgta import E, N, S, W, GlueAssignment, extract_tas
-from .mgta import build_mgta  # noqa: F401  (perfbench traces the layer calls made from here)
-from .partition import Partition, canonical_signature, partition_from_labels
+from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
 from .tiles import TileSystem
+
+# Not called here: perfbench traces the layer calls made from this module
+# by wrapping these names, so they stay importable from it.
+from .mgta import build_mgta  # noqa: F401
+from .partition import partition_from_labels  # noqa: F401
 
 # One isolated-vertex pick in this many departs from canonical scan order
 # and takes a uniformly random remaining vertex instead.  Scan order makes
@@ -307,32 +312,43 @@ class _Engine:
         if re is not None and self.merges % re == 0 and self.progress is not None:
             self.progress(self.merges, self.best)
 
-    def _part_roots(self) -> list[int]:
-        """Per cell, the root of its part node."""
-        p = self.parent
-        roots = []
-        for r in range(self.pbase, self.pbase + self.mn):
+    def _snapshot(self) -> GlueAssignment:
+        """The current partition and its MGTA, in one pass over the cells
+        (see the module docstring).  Labels are part roots numbered by
+        first occurrence, so they are the canonical signature; the first
+        cell of a part is its anchor and supplies its slot roots."""
+        p, pbase = self.parent, self.pbase
+        part_ids: dict[int, int] = {}
+        glue_ids: dict[int, int] = {}
+        labels = []
+        quads = []
+        for c in range(self.mn):
+            r = pbase + c
             while p[r] != r:
                 r = p[r]
-            roots.append(r)
-        return roots
-
-    def _snapshot_partition(self) -> Partition:
-        # partition_from_labels renumbers by first occurrence, so the roots
-        # serve as labels
-        return partition_from_labels(self.m, self.n, self._part_roots())
+            lab = part_ids.get(r)
+            if lab is None:
+                lab = part_ids[r] = len(part_ids)
+                quad = []
+                for s in range(4 * c, 4 * c + 4):
+                    while p[s] != s:
+                        s = p[s]
+                    quad.append(glue_ids.setdefault(s, len(glue_ids)))
+                quads.append(tuple(quad))
+            labels.append(lab)
+        part = Partition(self.m, self.n, tuple(labels))
+        return GlueAssignment(part, tuple(quads), len(glue_ids))
 
     def _observe(self, constructible: bool) -> None:
-        roots = self._part_roots()
-        # cells come in ascending order, so the first cell seen with a root
-        # is its part's anchor
-        anchor: dict[int, int] = {}
+        labels = self._snapshot().partition.labels
+        anchors: list[int] = []
+        for c, lab in enumerate(labels):
+            if lab == len(anchors):
+                anchors.append(c)
         self.observer(
             NodeInfo(
-                signature=canonical_signature(
-                    partition_from_labels(self.m, self.n, roots)
-                ),
-                part_anchors=tuple(anchor.setdefault(r, c) for c, r in enumerate(roots)),
+                signature=labels,
+                part_anchors=tuple(anchors[lab] for lab in labels),
                 cliques=tuple(frozenset(s) for s in self.clique),
                 num_parts=self.num_parts,
                 bound=self.bound,
@@ -341,34 +357,11 @@ class _Engine:
             )
         )
 
-    def _glue_assignment(self, part: Partition) -> GlueAssignment:
-        """The MGTA of the current partition, read off the union-find.
-
-        The slot nodes already hold the MGTA's classes: adjacency links
-        are installed at startup and every merge unites its parts' four
-        slots.  Part ids of ``part`` follow canonical order, which is the
-        order of the live anchor list, so numbering the slot roots of each
-        live anchor's N, E, S, W sides by first occurrence gives exactly
-        the ids ``build_mgta(part)`` gives."""
-        p = self.parent
-        ids: dict[int, int] = {}
-        quads = []
-        nxt, mn = self.nxt, self.mn
-        a = nxt[mn]
-        while a != mn:
-            quad = []
-            for r in range(4 * a, 4 * a + 4):
-                while p[r] != r:
-                    r = p[r]
-                quad.append(ids.setdefault(r, len(ids)))
-            quads.append(tuple(quad))
-            a = nxt[a]
-        return GlueAssignment(part, tuple(quads), len(ids))
-
     def _adopt_incumbent(self) -> None:
-        part = self._snapshot_partition()
+        glues = self._snapshot()
+        part = glues.partition
         assert part.num_parts == self.num_parts
-        system = extract_tas(self._glue_assignment(part), self.grid)
+        system = extract_tas(glues, self.grid)
         report = verify_solution(system, self.grid)
         if not report.ok:
             raise RuntimeError(

@@ -8,6 +8,11 @@ occupies row y = 0 and column x = 0: ``seed_north[x-1]`` is the glue the
 seed presents northward under column x, ``seed_east[y-1]`` the glue it
 presents eastward beside row y.
 
+A ``Tile`` is a named tuple ``(north, east, south, west, color)``:
+immutable, hashable, compared by its fields, and built cheaply enough
+for the search to make one per part of every incumbent.  Being a tuple,
+it also compares equal to the plain 5-tuple of its fields.
+
 Text format::
 
     tiles <count> temperature 2
@@ -19,6 +24,7 @@ Text format::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TEMPERATURE = 2
 
@@ -27,8 +33,7 @@ class TilesetError(ValueError):
     """Malformed tile-set text or an invalid system construction."""
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     north: int
     east: int
     south: int

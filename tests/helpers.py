@@ -1,5 +1,5 @@
-"""Shared fixtures for the test suite: hand-built reference tile systems
-and small enumeration utilities.
+"""Shared fixtures for the test suite: hand-built reference tile systems,
+small enumeration utilities and Hypothesis strategies.
 
 The two 4-tile systems below are written out from their arithmetic
 definitions, not produced by any code under test.  The counter rows
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+
+from hypothesis import strategies as st
 
 from patsolve import ColorGrid, Tile, TileSystem
 
@@ -67,3 +69,34 @@ def onto_colorings(m: int, n: int, k: int = 2):
 def grid_from_fn(m: int, n: int, k: int, fn) -> ColorGrid:
     cells = tuple(fn(x, y) for y in range(1, n + 1) for x in range(1, m + 1))
     return ColorGrid(m, n, k, cells)
+
+
+@st.composite
+def small_grids(draw, max_cells=12, max_colours=3):
+    """Onto colourings of grids of at most ``max_cells`` cells with at most
+    ``max_colours`` colours, strips included."""
+    m = draw(st.integers(1, max_cells))
+    n = draw(st.integers(1, max_cells // m))
+    raw = draw(st.lists(st.integers(0, max_colours - 1), min_size=m * n, max_size=m * n))
+    relabel: dict[int, int] = {}
+    cells = tuple(relabel.setdefault(c, len(relabel)) for c in raw)
+    return ColorGrid(m, n, len(relabel), cells)
+
+
+@st.composite
+def tile_systems(draw, max_glue=2):
+    """Small random systems over glues 0..max_glue: with the default three
+    glues many are stuck or nondeterministic, some assemble."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    glue = st.integers(0, max_glue)
+    tile = st.builds(
+        Tile, north=glue, east=glue, south=glue, west=glue, color=st.integers(0, 1)
+    )
+    return TileSystem(
+        m=m,
+        n=n,
+        tiles=tuple(draw(st.lists(tile, min_size=1, max_size=6))),
+        seed_north=tuple(draw(st.lists(glue, min_size=m, max_size=m))),
+        seed_east=tuple(draw(st.lists(glue, min_size=n, max_size=n))),
+    )

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import event, example, given, settings
-from hypothesis import strategies as st
 
 from patsolve import (
     Assembly,
@@ -16,7 +15,7 @@ from patsolve import (
     simulate,
     verify_solution,
 )
-from helpers import counter_color, counter_tas, sierpinski_color, sierpinski_tas
+from helpers import counter_color, counter_tas, sierpinski_color, sierpinski_tas, tile_systems
 
 
 class TestReferenceSystems:
@@ -137,25 +136,6 @@ def test_assembly_tile_at():
     assert a.tile_at(2, 1) == 1
     assert a.tile_at(1, 2) == 0
     assert a.tile_at(2, 2) == 2
-
-
-@st.composite
-def tile_systems(draw):
-    """Small random systems over three glues: many are stuck or
-    nondeterministic, some assemble."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
-    glue = st.integers(0, 2)
-    tile = st.builds(
-        Tile, north=glue, east=glue, south=glue, west=glue, color=st.integers(0, 1)
-    )
-    return TileSystem(
-        m=m,
-        n=n,
-        tiles=tuple(draw(st.lists(tile, min_size=1, max_size=6))),
-        seed_north=tuple(draw(st.lists(glue, min_size=m, max_size=m))),
-        seed_east=tuple(draw(st.lists(glue, min_size=n, max_size=n))),
-    )
 
 
 @settings(max_examples=300, deadline=None)

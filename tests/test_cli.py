@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from patsolve import (
@@ -58,6 +60,15 @@ class TestGenerate:
         )
         assert code == 1
         assert stderr.startswith("error:")
+
+    def test_over_cell_cap_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, stderr = run(
+            capsys, "generate", "--type", "sierpinski", "--m", "100000", "--n", "100000",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert stderr.startswith("error:") and "MAX_CELLS" in stderr
 
 
 class TestSolve:
@@ -201,6 +212,13 @@ class TestBench:
         code, _, stderr = run(capsys, "bench", "--sizes", "2x2,fish")
         assert code == 1
         assert "bad size" in stderr
+
+    def test_over_cell_cap_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, stderr = run(capsys, "bench", "--sizes", "100000x100000", "--runs", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert stderr.startswith("error:") and "MAX_CELLS" in stderr
 
     def test_zero_runs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsolve import (
     ColorGrid,
     SplitMix64,
     build_mgta,
     brute_constructible,
+    color_partition,
     constructibility,
     extract_tas,
     grid_adjacencies,
@@ -15,9 +18,12 @@ from patsolve import (
     merge_parts,
     merge_tiles,
     partition_from_labels,
+    refines,
     simulate,
     UniqueTerminal,
+    verify_solution,
 )
+from helpers import small_grids
 
 
 def all_partitions(m, n):
@@ -166,3 +172,38 @@ class TestExtractTas:
         system = extract_tas(f, grid)
         assert system.seed_north == (f.glues[0][2], f.glues[1][2])
         assert system.seed_east == (f.glues[0][3], f.glues[1][3])
+
+    def test_checks_agree_with_constructibility_and_refines(self):
+        # extract_tas checks constructibility with one set of (S, W) pairs
+        # and the colouring while it colours the parts; both must decide
+        # exactly as constructibility() and refines(color_partition(g), p)
+        seen = {"ok": 0, "conflict": 0, "colours": 0}
+
+        @settings(max_examples=400, deadline=None)
+        @given(grid=small_grids(max_cells=9), data=st.data())
+        def check(grid, data):
+            mn = grid.m * grid.n
+            raw = data.draw(st.lists(st.integers(0, mn - 1), min_size=mn, max_size=mn))
+            if data.draw(st.booleans()):
+                # split the colour classes only, so the partition refines them
+                raw = [c * mn + r for c, r in zip(grid.cells, raw)]
+            p = partition_from_labels(grid.m, grid.n, raw)
+            f = build_mgta(p)
+            verdict = constructibility(f)
+            if verdict.is_constructible and refines(color_partition(grid), p):
+                seen["ok"] += 1
+                system = extract_tas(f, grid)
+                assert len(system.tiles) == p.num_parts
+                assert verify_solution(system, grid).ok
+                return
+            with pytest.raises(ValueError) as exc:
+                extract_tas(f, grid)
+            if verdict.is_constructible:
+                seen["colours"] += 1
+                assert "grid colouring" in str(exc.value)
+            else:
+                seen["conflict"] += 1
+                assert f"parts {verdict.conflict} share S and W" in str(exc.value)
+
+        check()
+        assert all(seen.values()), seen

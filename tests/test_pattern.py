@@ -3,6 +3,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from patsolve import (
     ColorGrid,
@@ -16,7 +17,8 @@ from patsolve import (
     gen_sierpinski,
     parse_pattern,
 )
-from helpers import counter_color, sierpinski_color
+from patsolve.pattern import MAX_CELLS
+from helpers import counter_color, sierpinski_color, small_grids
 
 
 def test_cell_index_roundtrip():
@@ -70,6 +72,11 @@ class TestParseEmit:
         for g in (gen_sierpinski(3, 4), gen_binary_counter(4, 4), gen_random(5, 2, 3, 1)):
             assert parse_pattern(emit_pattern(g)) == g
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids(max_cells=30, max_colours=12))
+    def test_roundtrip_random_grids(self, grid):
+        assert parse_pattern(emit_pattern(grid)) == grid
+
     def test_rows_are_north_first(self):
         # the last data row of the text is y=1
         g = ColorGrid(2, 2, 2, (0, 0, 1, 1))
@@ -110,6 +117,34 @@ class TestParseEmit:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestGridCap:
+    @pytest.mark.parametrize(
+        "gen",
+        [gen_sierpinski, gen_binary_counter, lambda m, n: gen_random(m, n, 2, 0)],
+        ids=["sierpinski", "counter", "random"],
+    )
+    @pytest.mark.parametrize("m, n", [(MAX_CELLS + 1, 1), (1, MAX_CELLS + 1), (10**5, 10**5)])
+    def test_generators_refuse_before_allocating(self, gen, m, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PatternError, match="MAX_CELLS"):
+                gen(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_parser_refuses_over_cap(self):
+        # row widths are checked first, so the text must hold every cell
+        text = "1025 1024 2\n" + ("0 1 " * 512 + "1\n") * 1024
+        with pytest.raises(PatternError, match="MAX_CELLS"):
+            parse_pattern(text)
+
+    def test_grid_at_cap_is_accepted(self):
+        assert MAX_CELLS == 1 << 20
+        assert gen_binary_counter(MAX_CELLS, 1).m == MAX_CELLS
 
 
 class TestGenerators:

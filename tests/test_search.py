@@ -27,7 +27,7 @@ from patsolve import (
     solve,
     verify_solution,
 )
-from helpers import onto_colorings
+from helpers import onto_colorings, small_grids
 
 
 class TestSolveConfig:
@@ -225,18 +225,6 @@ def test_conflict_pair_merge_dominates_coarsenings():
             for c in constructible:
                 if refines(c, p):
                     assert refines(c, forced), (p.labels, c.labels)
-
-
-@st.composite
-def small_grids(draw, max_cells=12, max_colours=3):
-    """Onto colourings of grids of at most ``max_cells`` cells with at most
-    ``max_colours`` colours, strips included."""
-    m = draw(st.integers(1, max_cells))
-    n = draw(st.integers(1, max_cells // m))
-    raw = draw(st.lists(st.integers(0, max_colours - 1), min_size=m * n, max_size=m * n))
-    relabel: dict[int, int] = {}
-    cells = tuple(relabel.setdefault(c, len(relabel)) for c in raw)
-    return ColorGrid(m, n, len(relabel), cells)
 
 
 class TestSolveSmall:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from patsolve import (
     TEMPERATURE,
@@ -9,7 +10,7 @@ from patsolve import (
     glue_strength,
     parse_tileset,
 )
-from helpers import counter_tas, sierpinski_tas
+from helpers import counter_tas, sierpinski_tas, tile_systems
 
 
 def test_temperature_is_two():
@@ -22,6 +23,33 @@ def test_glue_strength_diagonal():
     assert glue_strength(5, 6) == 0
     assert glue_strength(None, 5) == 0
     assert glue_strength(5, None) == 0
+
+
+class TestTile:
+    def test_builds_by_keyword_and_by_position(self):
+        by_kw = Tile(north=1, east=2, south=3, west=4, color=5)
+        assert Tile(1, 2, 3, 4, 5) == by_kw
+        assert (by_kw.north, by_kw.east, by_kw.south, by_kw.west, by_kw.color) == (
+            1, 2, 3, 4, 5,
+        )
+
+    def test_is_immutable(self):
+        t = Tile(1, 2, 3, 4, 5)
+        for field in ("north", "east", "south", "west", "color"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, 0)
+        assert t == Tile(1, 2, 3, 4, 5)
+
+    def test_compares_and_hashes_by_fields(self):
+        a, b, c = Tile(1, 2, 3, 4, 5), Tile(1, 2, 3, 4, 5), Tile(1, 2, 3, 4, 6)
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+        # a named tuple: equal to the plain tuple of its fields
+        assert a == (1, 2, 3, 4, 5)
+
+    def test_repr(self):
+        assert repr(Tile(1, 2, 3, 4, 5)) == "Tile(north=1, east=2, south=3, west=4, color=5)"
 
 
 def test_system_validation():
@@ -39,6 +67,12 @@ def test_system_validation():
 def test_roundtrip():
     for system in (counter_tas(2, 3), sierpinski_tas(4, 4)):
         assert parse_tileset(emit_tileset(system)) == system
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=tile_systems(max_glue=10**6))
+def test_roundtrip_random_systems(system):
+    assert parse_tileset(emit_tileset(system)) == system
 
 
 def test_emit_format_shape():
