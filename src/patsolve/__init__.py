@@ -49,7 +49,7 @@ from .pattern import (
     parse_pattern,
 )
 from .rng import SplitMix64
-from .search import NodeInfo, SharedIncumbent, SolveConfig, SolveResult, solve
+from .search import NodeInfo, SolveConfig, SolveResult, solve
 from .tiles import TEMPERATURE, Tile, TileSystem, TilesetError, emit_tileset, glue_strength, parse_tileset
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ import sys
 from .atam import verify_solution
 from .pattern import (
     PatternError,
+    check_random_dims,
     emit_pattern,
     gen_binary_counter,
     gen_random,
@@ -132,6 +133,9 @@ def _cmd_bench(args) -> int:
             sizes.append((int(ms), int(ns)))
         except ValueError:
             raise SystemExit(f"error: bad size {tok!r}, expected like 3x3") from None
+    # every size is checked before the first solve, so a bad one fails fast
+    for m, n in sizes:
+        check_random_dims(m, n, args.k)
     lines = ["size\tp20\tmedian\tp80\n"]
     for m, n in sizes:
         merges = []

@@ -47,6 +47,14 @@ def _check_dims(m: int, n: int) -> None:
         )
 
 
+def check_random_dims(m: int, n: int, k: int) -> None:
+    """Raise PatternError unless gen_random accepts an m x n grid with k
+    colours: checks _check_dims and 1 <= k <= m*n, allocating nothing."""
+    _check_dims(m, n)
+    if not 1 <= k <= m * n:
+        raise PatternError(f"need 1 <= k <= {m * n}, got k={k}")
+
+
 @dataclass(frozen=True)
 class ColorGrid:
     """A k-coloured m x n grid.
@@ -168,9 +176,7 @@ def gen_random(m: int, n: int, k: int, seed: int) -> ColorGrid:
     colour occurs.  Driven by SplitMix64(seed), one draw per cell per
     attempt, so equal seeds give equal grids everywhere.  Raises
     PatternError when _MAX_DRAWS attempts all miss a colour."""
-    _check_dims(m, n)
-    if not 1 <= k <= m * n:
-        raise PatternError(f"need 1 <= k <= {m * n}, got k={k}")
+    check_random_dims(m, n, k)
     gen = SplitMix64(seed)
     mn = m * n
     for _ in range(_MAX_DRAWS):

@@ -39,7 +39,6 @@ and colour checks, and the resulting tile system through
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .atam import verify_solution
@@ -118,28 +117,6 @@ class SolveResult:
     trace: tuple[tuple[int, int], ...]  # (merges, best_size) at each improvement
 
 
-class SharedIncumbent:
-    """A monotone-decreasing size bound shared between portfolio runs.
-
-    Runs offer every incumbent size they find and read the cell when
-    pruning; reads may be stale, which only weakens pruning, never
-    correctness.
-    """
-
-    def __init__(self):
-        self._value = 1 << 62
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def offer(self, size: int) -> None:
-        with self._lock:
-            if size < self._value:
-                self._value = size
-
-
 @dataclass(frozen=True)
 class NodeInfo:
     """Snapshot handed to a solve observer at every visited node."""
@@ -173,8 +150,7 @@ class _Engine:
     trail back to its mark, unlinking each root from its parent.
     """
 
-    def __init__(self, grid, cfg, progress, on_incumbent, observer, shared,
-                 use_bound, use_graph_pruning):
+    def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
         self.grid = grid
         self.m, self.n, self.k = grid.m, grid.n, grid.k
         mn = self.mn = self.m * self.n
@@ -184,9 +160,7 @@ class _Engine:
         self.progress = progress
         self.on_incumbent = on_incumbent
         self.observer = observer
-        self.shared = shared
         self.use_bound = use_bound
-        self.use_graph_pruning = use_graph_pruning
         self.rng = SplitMix64(cfg.rng_seed)
 
         # glue slots 0 .. 4*mn-1, then part nodes 4*mn .. 5*mn-1
@@ -372,8 +346,6 @@ class _Engine:
         self.best_system = system
         self.best_partition = part
         self.trace.append((self.merges, self.best))
-        if self.shared is not None:
-            self.shared.offer(self.best)
         if self.on_incumbent is not None:
             self.on_incumbent(self.merges, self.best, system, part)
         if self.progress is not None:
@@ -406,8 +378,7 @@ class _Engine:
         return True
 
     def _pruned(self) -> bool:
-        limit = self.best if self.shared is None else min(self.best, self.shared.value)
-        return self.use_bound and self.bound >= limit
+        return self.use_bound and self.bound >= self.best
 
     def _node(self):
         """Yield the children of the node the state sits on, as merges
@@ -428,16 +399,13 @@ class _Engine:
             col = colors[p1]
             if colors[p2] != col:
                 return  # merging across colours can never respect the pattern
-            if self.use_graph_pruning and p1 in clique[col] and p2 in clique[col]:
+            if p1 in clique[col] and p2 in clique[col]:
                 return  # pair already excluded on another branch
             yield p1, p2, col
             return
 
         if self.num_parts < self.best:
             self._adopt_incumbent()
-        if not self.use_graph_pruning:
-            yield from self._expand_unpruned()
-            return
         if self._pruned():
             return
 
@@ -487,25 +455,6 @@ class _Engine:
             if len(cl) >= 1:
                 self.bound -= 1
 
-    def _expand_unpruned(self) -> list[tuple[int, int, int]]:
-        """Child merges with the graphs disabled: every same-colour pair in
-        shuffled order, no exclusions, no bound.  Exists to test that
-        pruning never changes the optimum; exponentially slower, tiny
-        grids only."""
-        alive: list[int] = []
-        a = self.nxt[self.mn]
-        while a != self.mn:
-            alive.append(a)
-            a = self.nxt[a]
-        pairs = [
-            (alive[i], alive[j], self.colors[alive[i]])
-            for i in range(len(alive))
-            for j in range(i + 1, len(alive))
-            if self.colors[alive[i]] == self.colors[alive[j]]
-        ]
-        self.rng.shuffle(pairs)
-        return pairs
-
 
 def solve(
     grid: ColorGrid,
@@ -514,9 +463,7 @@ def solve(
     progress=None,
     on_incumbent=None,
     observer=None,
-    shared_incumbent: SharedIncumbent | None = None,
     use_bound: bool = True,
-    use_graph_pruning: bool = True,
 ) -> SolveResult:
     """Find a minimum (or best-within-cutoff) tile set for a grid.
 
@@ -526,23 +473,17 @@ def solve(
     as (merges, best) on every improvement and every
     ``cfg.report_every`` merges; ``on_incumbent`` as (merges, size,
     system, partition) on improvements; ``observer`` with a NodeInfo at
-    every visited node (slow, meant for audits).  ``use_bound`` and
-    ``use_graph_pruning`` exist for testing; disabling the graphs also
-    disables the bound, which is defined on them.  The search keeps its
+    every visited node (slow, meant for audits; perfbench counts nodes
+    with it).  ``use_bound=False`` switches off the bound prune and keeps
+    the excluded-pair exclusions; it exists for testing, so that observed
+    searches reach deep nodes with large cliques and so that pruning
+    soundness can be checked (``tests/test_search.py``: ``TestNodeApi``,
+    ``visited_nodes`` and ``TestPruningIsSound``).  The search keeps its
     path on an explicit stack, so the depth of the tree is bounded by
     memory alone and no process-wide state, the recursion limit
     included, is read or changed.
     """
-    engine = _Engine(
-        grid,
-        cfg,
-        progress,
-        on_incumbent,
-        observer,
-        shared_incumbent,
-        use_bound,
-        use_graph_pruning,
-    )
+    engine = _Engine(grid, cfg, progress, on_incumbent, observer, use_bound)
     proven = engine._run()
     assert engine.best_system is not None and engine.best_partition is not None
     return SolveResult(

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import pytest
 
@@ -219,6 +220,27 @@ class TestBench:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert stderr.startswith("error:") and "MAX_CELLS" in stderr
+
+    @staticmethod
+    def no_solve():
+        # every --sizes entry must be checked before the first solve
+        return mock.patch("patsolve.cli.solve", side_effect=AssertionError("solve called"))
+
+    def test_later_size_over_cap_fails_before_solving(self, capsys):
+        start = time.perf_counter()
+        with self.no_solve():
+            code, out, stderr = run(
+                capsys, "bench", "--sizes", "4x4,100000x100000", "--runs", "21"
+            )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert "MAX_CELLS" in stderr
+
+    def test_too_many_colours_fails_before_solving(self, capsys):
+        with self.no_solve():
+            code, out, stderr = run(capsys, "bench", "--sizes", "4x4,2x2", "--k", "5")
+        assert code == 1 and out == ""
+        assert "need 1 <= k <= 4, got k=5" in stderr
 
     def test_zero_runs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
