@@ -21,7 +21,6 @@ import sys
 
 from .atam import verify_solution
 from .pattern import (
-    PatternError,
     check_random_dims,
     emit_pattern,
     gen_binary_counter,

@@ -26,6 +26,18 @@ per-colour clique sets.  The path from the root is an explicit stack of
 per-node child generators, so no recursion limit applies and ``solve``
 changes no process state.  Equal seeds give equal runs.
 
+A node's first conflict is the first pair of live parts, in canonical
+order, with equal (S-root, W-root) keys.  While a constructible node has
+at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
+synced to it in place (built at the root, reverted when ``_run`` undoes
+the merge that returns the trail to the sync's mark), and its children
+find their conflict from the few parts whose keys their merge moved
+instead of scanning every part.  Nodes after a forced merge scan, so a
+forced chain syncs the index once, at its constructible end.  The
+isolated vertices are walked off the live list lazily, since most
+children die at once, and listed only when a deviation draw needs the
+rest of the walk; the random draws are the same either way.
+
 Adopting an incumbent is one pass over the cells and rebuilds nothing.
 The slot nodes of the union-find already are the MGTA of the current
 partition, so the pass labels each cell by first occurrence of its part
@@ -42,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atam import verify_solution
+from .keyindex import KeyIndex
 from .mgta import E, N, S, W, GlueAssignment, extract_tas
 from .partition import Partition
 from .pattern import ColorGrid
@@ -58,6 +71,11 @@ from .partition import partition_from_labels  # noqa: F401
 # first descents track the grid's own growth; the rare departures are what
 # makes runs with different seeds explore genuinely different branches.
 _DEVIATION = 32
+
+# Constructible nodes with at least this many live parts keep the key index
+# synced, so their children check conflicts locally; below it the plain
+# scan is as cheap as the index upkeep.
+_KEYED_PARTS = 128
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -193,6 +211,11 @@ class _Engine:
                 self._union(4 * c + E, 4 * (c + 1) + W)
             if y < self.n:
                 self._union(4 * c + N, 4 * (c + m) + S)
+
+        self.path: list[tuple] = []  # merge records of the current path
+        self.keys = None
+        if mn >= _KEYED_PARTS:
+            self.keys = KeyIndex(self.parent, self.trail, self.nxt, mn)
 
     # -- rollback union-find ------------------------------------------------
 
@@ -358,27 +381,41 @@ class _Engine:
         when the tree is exhausted, False when the cutoff stopped it.
 
         ``stack`` holds one child generator per node on the current path
-        and ``merged`` the merge records of the path's edges.  A cutoff
-        abandons both with the state mid-tree: the engine is not used
-        after it."""
+        and ``path`` the merge records of the path's edges; undoing a merge
+        that takes the trail back to the mark of the key index's last sync
+        reverts that sync.  A cutoff abandons the state mid-tree: the engine
+        is not used after it."""
+        keys, path = self.keys, self.path
         stack = [self._node()]
-        merged = []
         while stack:
             move = next(stack[-1], None)
             if move is None:
                 stack.pop()
-                if merged:
-                    self._undo_merge(merged.pop())
+                if path:
+                    rec = path.pop()
+                    self._undo_merge(rec)
+                    if keys is not None:
+                        keys.rewound(rec[0])
                 continue
             if self.merges >= self.cutoff:
                 return False
-            merged.append(self._apply_merge(*move))
+            path.append(self._apply_merge(*move))
             self._tick()
             stack.append(self._node())
         return True
 
     def _pruned(self) -> bool:
         return self.use_bound and self.bound >= self.best
+
+    def _isolated(self):
+        """The live anchors outside their colour's clique from here on, in
+        canonical order (the order of the live list), tested as reached."""
+        nxt, mn, colors, clique = self.nxt, self.mn, self.colors, self.clique
+        a = nxt[mn]
+        while a != mn:
+            if a not in clique[colors[a]]:
+                yield a
+            a = nxt[a]
 
     def _node(self):
         """Yield the children of the node the state sits on, as merges
@@ -390,7 +427,11 @@ class _Engine:
         excluded.  A constructible node may become the incumbent and then
         yields its children in clique order, undoing its clique joins
         after the last one."""
-        conflict = self._find_conflict()
+        keys, path = self.keys, self.path
+        if keys is not None and path and keys.mark == path[-1][0]:
+            conflict = keys.conflict(path[-1][2])  # a child of the indexed node
+        else:
+            conflict = self._find_conflict()
         if self.observer is not None:
             self._observe(conflict is None)
         colors, clique = self.colors, self.clique
@@ -408,32 +449,29 @@ class _Engine:
             self._adopt_incumbent()
         if self._pruned():
             return
+        if keys is not None and path and self.num_parts >= _KEYED_PARTS:
+            keys.sync(path)
 
-        # isolated vertices in canonical anchor order; the scan order of the
-        # live list is exactly that order
-        nxt = self.nxt
-        todo: list[int] = []
-        a = nxt[self.mn]
-        while a != self.mn:
-            if a not in clique[colors[a]]:
-                todo.append(a)
-            a = nxt[a]
-
-        # Each vertex is paired against the clique of its colour, then joins
-        # it.  Taking vertices in assembly order makes the first descent
-        # sweep the grid the way the seed grows it, which on structured
-        # patterns keeps the forced-merge cascades productive.  One pick in
-        # _DEVIATION departs from that order; together with the member
+        # Isolated vertices, taken lazily in canonical anchor order; ``left``
+        # counts those not yet taken.  Each vertex is paired against the
+        # clique of its colour, then joins it.  Taking vertices in assembly
+        # order makes the first descent sweep the grid the way the seed grows
+        # it, which on structured patterns keeps the forced-merge cascades
+        # productive.  One pick in _DEVIATION departs from that order (the
+        # rest of the walk is listed for it); together with the member
         # shuffle below this is the randomization between same-config runs.
+        left = self.num_parts - sum(map(len, clique))
+        rest = self._isolated()
         joins: list[tuple[int, int]] = []
         stop = False
-        i = 0
-        while i < len(todo) and not stop:
-            if len(todo) - i > 1 and self.rng.randrange(_DEVIATION) == 0:
-                j = i + self.rng.randrange(len(todo) - i)
-                todo[i], todo[j] = todo[j], todo[i]
-            v = todo[i]
-            i += 1
+        while left and not stop:
+            if left > 1 and self.rng.randrange(_DEVIATION) == 0:
+                todo = list(rest)
+                j = self.rng.randrange(left)
+                todo[0], todo[j] = todo[j], todo[0]
+                rest = iter(todo)
+            v = next(rest)
+            left -= 1
             col = colors[v]
             cl = clique[col]
             members = sorted(cl)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -10,12 +11,14 @@ import patsolve.search as search_module
 from patsolve import (
     ColorGrid,
     SolveConfig,
+    SplitMix64,
     brute_constructible,
     build_mgta,
     color_partition,
     constructibility,
     enumerate_min_tileset,
     extract_tas,
+    gen_binary_counter,
     gen_random,
     gen_sierpinski,
     initial_partition,
@@ -23,9 +26,11 @@ from patsolve import (
     merge_parts,
     partition_from_labels,
     refines,
+    simulate,
     solve,
     verify_solution,
 )
+from patsolve.keyindex import KeyIndex
 from helpers import onto_colorings, small_grids
 
 
@@ -389,6 +394,23 @@ class TestObservers:
         reported = {m for m, _ in calls}
         assert {250, 500, 750, 1000, 1250, 1500, 1750, 2000} <= reported
 
+    @pytest.mark.parametrize("grid", [
+        gen_random(4, 4, 2, 3), gen_random(4, 4, 3, 5), gen_sierpinski(5, 5),
+        gen_binary_counter(5, 4), gen_random(1, 12, 2, 4),
+    ], ids=["random4x4k2", "random4x4k3", "sierpinski5x5", "counter5x4", "strip1x12"])
+    def test_incumbents_assemble_alike_in_any_order(self, grid):
+        # every incumbent is deterministic, so the order in which the frontier
+        # is consumed cannot change the terminal assembly
+        systems = []
+        solve(grid, SolveConfig.exact(seed=1),
+              on_incumbent=lambda m, s, system, part: systems.append(system))
+        assert len(systems) > 1
+        for system in systems:
+            canonical = simulate(system)
+            assert canonical.assembly.colors(system) == grid.cells
+            for seed in range(4):
+                assert simulate(system, rng=SplitMix64(seed)) == canonical
+
     def test_on_incumbent_systems_verify(self):
         g = gen_random(5, 5, 2, 12)
         seen = []
@@ -495,3 +517,110 @@ class TestProcessState:
         finally:
             sys.setrecursionlimit(saved)
         assert verify_solution(res.best_system, grid).ok
+
+
+def index_state(idx):
+    """What a key index says about the live parts: its mark, keys, roots
+    of each indexed anchor and the non-empty root-to-anchor sets."""
+    live = sorted(idx.owner.values())
+    return (
+        idx.mark,
+        idx.owner,
+        [(a, idx.south[a], idx.west[a]) for a in live],
+        {r: anchors for r, anchors in idx.by_root.items() if anchors},
+    )
+
+
+def solve_with_checked_index(grid, cfg, keyed_parts=None):
+    """Solve with the key index cross-checked at every use: each local
+    conflict check against the full scan, and the index after each sync
+    and each revert against a fresh build.  Returns the result and the
+    number of checks of each kind."""
+    counts = {"build": 0, "conflict": 0, "sync": 0, "revert": 0}
+
+    class CheckedIndex(KeyIndex):
+        def __init__(self, parent, trail, nxt, mn):
+            super().__init__(parent, trail, nxt, mn)
+            self.lists = (parent, trail, nxt, mn)
+            counts["build"] += 1
+
+        def check(self, kind):
+            assert index_state(self) == index_state(KeyIndex(*self.lists))
+            counts[kind] += 1
+
+        def sync(self, path):
+            super().sync(path)
+            self.check("sync")
+
+        def revert(self):
+            super().revert()
+            self.check("revert")
+
+    class CheckedEngine(search_module._Engine):
+        def _node(self):
+            # the same test _node makes before it asks the index
+            keys, path = self.keys, self.path
+            if keys is not None and path and keys.mark == path[-1][0]:
+                assert keys.conflict(path[-1][2]) == self._find_conflict()
+                counts["conflict"] += 1
+            return super()._node()
+
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(search_module, "_Engine", CheckedEngine))
+        patches.enter_context(mock.patch.object(search_module, "KeyIndex", CheckedIndex))
+        if keyed_parts is not None:
+            patches.enter_context(mock.patch.object(search_module, "_KEYED_PARTS", keyed_parts))
+        result = solve(grid, cfg)
+    return result, counts
+
+
+KEYED_WORKLOADS = {
+    "sierpinski16": (lambda: gen_sierpinski(16, 16), 0),
+    "counter16": (lambda: gen_binary_counter(16, 16), 0),
+    "random16": (lambda: gen_random(16, 16, 2, 100), 100),
+}
+
+
+class TestKeyIndex:
+    """The key index against the full determinism scan and a fresh build.
+    Traces must not move either: the golden traces pin that."""
+
+    @pytest.mark.parametrize("keyed_parts", [None, 1], ids=["default", "always"])
+    @pytest.mark.parametrize("name", sorted(KEYED_WORKLOADS))
+    def test_workloads(self, name, keyed_parts):
+        make_grid, seed = KEYED_WORKLOADS[name]
+        cfg = SolveConfig.anytime(2000, seed=seed)
+        result, counts = solve_with_checked_index(make_grid(), cfg, keyed_parts)
+        # after its first descent random16 stays under the default
+        # threshold, and neither it nor counter16 backs out of a synced
+        # node this early; the exact solves below revert every sync
+        assert counts["build"] == 1 and counts["conflict"] and counts["sync"], counts
+        assert counts["revert"] or name != "sierpinski16", counts
+        assert result.trace == solve(make_grid(), cfg).trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=small_grids(max_cells=9), seed=st.integers(0, 1000))
+    @example(grid=gen_sierpinski(3, 3), seed=0)
+    @example(grid=gen_random(1, 9, 2, 5), seed=5)
+    @example(grid=gen_random(3, 3, 3, 4), seed=7)
+    def test_small_grids_exact(self, grid, seed):
+        cfg = SolveConfig.exact(seed=seed)
+        result, counts = solve_with_checked_index(grid, cfg, keyed_parts=1)
+        assert counts["sync"] == counts["revert"]  # exhaustion undoes every sync
+        reference = solve(grid, cfg)
+        assert (result.trace, result.merges_performed) == (
+            reference.trace, reference.merges_performed,
+        )
+
+    def test_small_grids_never_build_it(self):
+        # at the default threshold grids this small keep the plain scan
+        # (exact_random's grids are 4x4 and 5x5)
+        _, counts = solve_with_checked_index(gen_random(5, 5, 2, 1000), SolveConfig.exact(seed=1000))
+        assert not any(counts.values())
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(KEYED_WORKLOADS))
+    def test_workloads_long(self, name):
+        make_grid, seed = KEYED_WORKLOADS[name]
+        _, counts = solve_with_checked_index(make_grid(), SolveConfig.anytime(10**5, seed=seed))
+        assert counts["conflict"] and counts["sync"], counts
