@@ -18,8 +18,13 @@ over the cells instead of running the frontier.  The frontier always
 pops its smallest index and only ever gains larger ones, so it visits
 supported cells in increasing index order, which is exactly the order
 of the pass; both give the same outcome, at the same position, with the
-same tile ids.  The frontier loop remains for random order and for
-``check_general_rule``, and is the reference the pass is tested against.
+same tile ids.  The pass reads the tile fields once, column by column,
+and looks each cell's (S, W) key up in a map from keys to single tile
+ids; only a system with a key shared by two tiles also collects those
+keys, and a cell that meets one is reported nondeterministic with the
+key's two smallest ids.  The frontier loop keeps per-key candidate
+lists, remains for random order and for ``check_general_rule``, and is
+the reference the pass is tested against.
 
 Outcomes:
 
@@ -33,6 +38,7 @@ Outcomes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .partition import Partition, cell_coords, cell_index, partition_from_labels
@@ -54,7 +60,8 @@ class Assembly:
 
     def colors(self, system: TileSystem) -> tuple[int, ...]:
         """Per-cell colours of the placed tiles, canonical order."""
-        return tuple(system.tiles[t].color for t in self.tiles)
+        palette = [t.color for t in system.tiles]
+        return tuple([palette[t] for t in self.tiles])
 
     def induced_partition(self) -> Partition:
         """Cells grouped by which tile type they carry."""
@@ -142,12 +149,12 @@ def simulate(
     every frontier decision against ``attachable_tiles``.  With neither,
     growth is the single row-major pass of ``_sweep``.
     """
+    if rng is None and not check_general_rule:
+        return _sweep(system)
+
     by_sw: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(system.tiles):
         by_sw.setdefault((t.south, t.west), []).append(i)
-    if rng is None and not check_general_rule:
-        return _sweep(system, by_sw)
-
     m, n = system.m, system.n
     mn = m * n
     placed: list[int | None] = [None] * mn
@@ -194,17 +201,25 @@ def simulate(
     return UniqueTerminal(Assembly(m, n, tuple(placed)))
 
 
-def _sweep(system: TileSystem, by_sw: dict) -> SimulationResult:
+def _sweep(system: TileSystem) -> SimulationResult:
     """Canonical-order growth as one row-major pass over the cells.
 
     A cell's south and west neighbours both come before it in row-major
     order, so by the time the pass reaches a cell it is known whether the
     cell is supported.  Supported cells are visited in increasing index
     order, which is the order the frontier loop pops them in, so the
-    outcome, its position and its tile ids are the same."""
+    outcome, its position and its tile ids are the same.
+
+    Meeting a key that two or more tiles share is the nondeterminism the
+    frontier loop reports, with the key's two smallest tile ids."""
     m = system.m
-    north = [t.north for t in system.tiles]
-    east = [t.east for t in system.tiles]
+    north, east, south_of, west_of, _ = zip(*system.tiles)
+    keys = list(zip(south_of, west_of))
+    # a key's tile id is used only when no other tile has the key
+    tile_of = dict(zip(keys, range(len(keys))))
+    shared = None
+    if len(tile_of) < len(keys):
+        shared = {key for key, count in Counter(keys).items() if count > 1}
     # glue each column presents northward into the current row; None
     # where the cell below was never filled
     up: list[int | None] = list(system.seed_north)
@@ -218,15 +233,16 @@ def _sweep(system: TileSystem, by_sw: dict) -> SimulationResult:
                 placed.append(None)  # unsupported, never reached
                 up[x] = west = None
                 continue
-            candidates = by_sw.get((south, west))
-            if candidates is None:
+            key = (south, west)
+            t = tile_of.get(key)
+            if t is None:
                 blocked.append(len(placed))
                 placed.append(None)
                 up[x] = west = None
                 continue
-            if len(candidates) >= 2:
-                return Nondeterministic(x + 1, y + 1, candidates[0], candidates[1])
-            t = candidates[0]
+            if shared is not None and key in shared:
+                t1, t2 = [i for i, k in enumerate(keys) if k == key][:2]
+                return Nondeterministic(x + 1, y + 1, t1, t2)
             placed.append(t)
             up[x] = north[t]
             west = east[t]

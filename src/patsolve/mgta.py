@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import add
 
 from .partition import Partition, cell_index, merge_parts
 from .pattern import ColorGrid
@@ -231,9 +233,9 @@ def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
             part_color[lab] = col
         elif have != col:
             raise ValueError("partition does not respect the grid colouring")
-    tiles = tuple(
-        Tile(q[N], q[E], q[S], q[W], col) for q, col in zip(glues, part_color)
-    )
+    # Tile(*quad, colour) per part, built as the tuple subclass directly:
+    # what Tile._make does, without a Python frame per tile
+    tiles = tuple(map(tuple.__new__, repeat(Tile), map(add, glues, zip(part_color))))
     seed_north = tuple(glues[labels[x]][S] for x in range(m))
     seed_east = tuple(glues[labels[y * m]][W] for y in range(grid.n))
     return TileSystem(m, grid.n, tiles, seed_north, seed_east)

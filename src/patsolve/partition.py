@@ -15,7 +15,7 @@ label-independent normal form used for equality and hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -40,6 +40,7 @@ class Partition:
     m: int
     n: int
     labels: tuple[int, ...]
+    num_parts: int = field(init=False, repr=False)  # from the validation's id set
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -51,10 +52,7 @@ class Partition:
         seen = set(self.labels)
         if seen != set(range(len(seen))):
             raise ValueError("part ids must be compact: 0..num_parts-1, all used")
-
-    @cached_property
-    def num_parts(self) -> int:
-        return len(set(self.labels))
+        object.__setattr__(self, "num_parts", len(seen))
 
     def part_of(self, x: int, y: int) -> int:
         return self.labels[cell_index(x, y, self.m)]

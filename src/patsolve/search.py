@@ -22,9 +22,12 @@ One engine runs the tree, on mutable state with exact rollback: a
 single union-find over the glue slots and the parts, linked by size
 without path compression so that undo is popping one trail of linked
 roots; a doubly linked list of live parts in canonical order; and
-per-colour clique sets.  The path from the root is an explicit stack of
-per-node child generators, so no recursion limit applies and ``solve``
-changes no process state.  Equal seeds give equal runs.
+per-colour clique sets.  The path from the root is an explicit stack
+holding a child generator for each constructible node on it; a
+conflicted node's one merge is applied by the loop itself, and a dead
+forced chain is rewound by undoing merges back to the generator below
+it.  So no recursion limit applies and ``solve`` changes no process
+state.  Equal seeds give equal runs.
 
 A node's first conflict is the first pair of live parts, in canonical
 order, with equal (S-root, W-root) keys.  While a constructible node has
@@ -41,12 +44,13 @@ rest of the walk; the random draws are the same either way.
 Adopting an incumbent is one pass over the cells and rebuilds nothing.
 The slot nodes of the union-find already are the MGTA of the current
 partition, so the pass labels each cell by first occurrence of its part
-root (canonical part order) and, at each part's first cell, numbers the
-roots of its N, E, S, W slots by first occurrence; that gives the
-``Partition`` and exactly the class ids ``build_mgta`` would give.  The
-assignment still goes through ``extract_tas``, with its constructibility
-and colour checks, and the resulting tile system through
-``verify_solution`` before it is adopted.
+root (canonical part order) and, at each part's first cell, finds the
+roots of its N, E, S, W slots and numbers them by first occurrence; that
+gives the ``Partition`` and exactly the class ids ``build_mgta`` would
+give.  The assignment still goes through ``extract_tas``, with its
+constructibility and colour checks, and the resulting tile system
+through the full simulation of ``verify_solution``, before ``progress``
+or ``on_incumbent`` hear of it.
 """
 
 from __future__ import annotations
@@ -237,12 +241,25 @@ class _Engine:
     # -- merge and undo -----------------------------------------------------
 
     def _apply_merge(self, lo: int, hi: int, col: int):
-        """Unite the parts anchored at lo < hi (same colour col).  Returns an
+        """Unite the parts anchored at lo < hi (same colour col): their part
+        nodes and their four slot pairs, as in ``_union``.  Returns an
         opaque record for _undo_merge."""
-        mark = len(self.trail)
-        self._union(self.pbase + lo, self.pbase + hi)
-        for d in range(4):
-            self._union(4 * lo + d, 4 * hi + d)
+        p, sz, trail = self.parent, self.size, self.trail
+        mark = len(trail)
+        pb, a0, b0 = self.pbase, 4 * lo, 4 * hi
+        for a, b in (
+            (pb + lo, pb + hi), (a0, b0), (a0 + 1, b0 + 1), (a0 + 2, b0 + 2), (a0 + 3, b0 + 3)
+        ):
+            while p[a] != a:
+                a = p[a]
+            while p[b] != b:
+                b = p[b]
+            if a != b:
+                if sz[a] < sz[b]:
+                    a, b = b, a
+                p[b] = a
+                sz[a] += sz[b]
+                trail.append(b)
 
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = nxt[hi]
@@ -313,10 +330,12 @@ class _Engine:
         """The current partition and its MGTA, in one pass over the cells
         (see the module docstring).  Labels are part roots numbered by
         first occurrence, so they are the canonical signature; the first
-        cell of a part is its anchor and supplies its slot roots."""
+        cell of a part is its anchor and supplies its slot roots, numbered
+        by first occurrence in N, E, S, W order as ``build_mgta`` does."""
         p, pbase = self.parent, self.pbase
         part_ids: dict[int, int] = {}
         glue_ids: dict[int, int] = {}
+        glue_id = glue_ids.setdefault
         labels = []
         quads = []
         for c in range(self.mn):
@@ -326,12 +345,24 @@ class _Engine:
             lab = part_ids.get(r)
             if lab is None:
                 lab = part_ids[r] = len(part_ids)
-                quad = []
-                for s in range(4 * c, 4 * c + 4):
-                    while p[s] != s:
-                        s = p[s]
-                    quad.append(glue_ids.setdefault(s, len(glue_ids)))
-                quads.append(tuple(quad))
+                north = 4 * c + N
+                while p[north] != north:
+                    north = p[north]
+                east = 4 * c + E
+                while p[east] != east:
+                    east = p[east]
+                south = 4 * c + S
+                while p[south] != south:
+                    south = p[south]
+                west = 4 * c + W
+                while p[west] != west:
+                    west = p[west]
+                quads.append((
+                    glue_id(north, len(glue_ids)),
+                    glue_id(east, len(glue_ids)),
+                    glue_id(south, len(glue_ids)),
+                    glue_id(west, len(glue_ids)),
+                ))
             labels.append(lab)
         part = Partition(self.m, self.n, tuple(labels))
         return GlueAssignment(part, tuple(quads), len(glue_ids))
@@ -380,29 +411,62 @@ class _Engine:
         """Walk the tree below the current state depth first.  Returns True
         when the tree is exhausted, False when the cutoff stopped it.
 
-        ``stack`` holds one child generator per node on the current path
-        and ``path`` the merge records of the path's edges; undoing a merge
-        that takes the trail back to the mark of the key index's last sync
-        reverts that sync.  A cutoff abandons the state mid-tree: the engine
-        is not used after it."""
-        keys, path = self.keys, self.path
-        stack = [self._node()]
-        while stack:
-            move = next(stack[-1], None)
-            if move is None:
-                stack.pop()
-                if path:
+        A conflicted node is handled here: its one child, the merge of its
+        conflicting pair, is applied at once, and when the pair crosses
+        colours or was already excluded the node dies.  ``stack`` holds,
+        per constructible node on the current path, its child generator
+        and the length ``path`` had there; ``path`` holds the merge records
+        of the path's edges.  Before a node is asked for its next child,
+        the merges below it are undone, which also rewinds a dead forced
+        chain, and undoing a merge that takes the trail back to the mark
+        of the key index's last sync reverts that sync.  A cutoff abandons
+        the state mid-tree: the engine is not used after it."""
+        keys, path, colors, clique = self.keys, self.path, self.colors, self.clique
+        stack: list[tuple] = []
+        conflict = self._find_conflict()
+        while True:
+            # follow the forced merges from the node just entered
+            while True:
+                if self.observer is not None:
+                    self._observe(conflict is None)
+                if conflict is None:
+                    stack.append((self._node(), len(path)))
+                    break
+                p1, p2 = conflict
+                col = colors[p1]
+                if colors[p2] != col:
+                    break  # merging across colours can never respect the pattern
+                cl = clique[col]
+                if p1 in cl and p2 in cl:
+                    break  # pair already excluded on another branch
+                if self.merges >= self.cutoff:
+                    return False
+                path.append(self._apply_merge(p1, p2, col))
+                self._tick()
+                conflict = self._find_conflict()
+            # the next child of the deepest constructible node that has one
+            while stack:
+                children, depth = stack[-1]
+                while len(path) > depth:
                     rec = path.pop()
                     self._undo_merge(rec)
                     if keys is not None:
                         keys.rewound(rec[0])
-                continue
+                move = next(children, None)
+                if move is not None:
+                    break
+                stack.pop()
+            else:
+                return True
             if self.merges >= self.cutoff:
                 return False
-            path.append(self._apply_merge(*move))
+            rec = self._apply_merge(*move)
+            path.append(rec)
             self._tick()
-            stack.append(self._node())
-        return True
+            if keys is not None and keys.mark == rec[0]:
+                conflict = keys.conflict(rec[2])  # a child of the indexed node
+            else:
+                conflict = self._find_conflict()
 
     def _pruned(self) -> bool:
         return self.use_bound and self.bound >= self.best
@@ -418,33 +482,12 @@ class _Engine:
             a = nxt[a]
 
     def _node(self):
-        """Yield the children of the node the state sits on, as merges
-        (lo, hi, colour); the state is back at this node whenever a child
-        is asked for.
-
-        A conflicted node has one child, the merge of its conflicting
-        pair, or none when the pair crosses colours or was already
-        excluded.  A constructible node may become the incumbent and then
-        yields its children in clique order, undoing its clique joins
+        """Yield the children of the constructible node the state sits on,
+        as merges (lo, hi, colour); the state is back at this node whenever
+        a child is asked for.  The node may become the incumbent first; it
+        yields its children in clique order and undoes its clique joins
         after the last one."""
-        keys, path = self.keys, self.path
-        if keys is not None and path and keys.mark == path[-1][0]:
-            conflict = keys.conflict(path[-1][2])  # a child of the indexed node
-        else:
-            conflict = self._find_conflict()
-        if self.observer is not None:
-            self._observe(conflict is None)
-        colors, clique = self.colors, self.clique
-        if conflict is not None:
-            p1, p2 = conflict
-            col = colors[p1]
-            if colors[p2] != col:
-                return  # merging across colours can never respect the pattern
-            if p1 in clique[col] and p2 in clique[col]:
-                return  # pair already excluded on another branch
-            yield p1, p2, col
-            return
-
+        colors, clique, keys, path = self.colors, self.clique, self.keys, self.path
         if self.num_parts < self.best:
             self._adopt_incumbent()
         if self._pruned():

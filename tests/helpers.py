@@ -16,7 +16,7 @@ import math
 
 from hypothesis import strategies as st
 
-from patsolve import ColorGrid, Tile, TileSystem
+from patsolve import ColorGrid, Tile, TileSystem, gen_binary_counter, gen_sierpinski
 
 
 def counter_tas(m: int, n: int) -> TileSystem:
@@ -57,6 +57,12 @@ def sierpinski_tas(m: int, n: int) -> TileSystem:
 
 def sierpinski_color(x: int, y: int) -> int:
     return math.comb(x + y - 2, x - 1) % 2
+
+
+# proven minimum tile counts of the structured families on n x n grids,
+# as (family, generator, n, tiles); exact solves at seed 0 prove each
+PROVEN_OPTIMA = [("sierpinski", gen_sierpinski, n, 3 if n < 4 else 4) for n in range(2, 13)]
+PROVEN_OPTIMA += [("counter", gen_binary_counter, n, 4) for n in range(3, 10)]
 
 
 def onto_colorings(m: int, n: int, k: int = 2):

@@ -31,7 +31,7 @@ from patsolve import (
     verify_solution,
 )
 from patsolve.oracle import enumerate_min_tileset
-from helpers import onto_colorings
+from helpers import PROVEN_OPTIMA, onto_colorings
 
 CUTOFF = 10**6
 
@@ -209,3 +209,15 @@ def test_criterion_8_merge_counts_scale_monotonically():
     assert medians == sorted(medians), medians
     print(f"criterion 8 PASS: median merge counts {medians} grow "
           "monotonically from 2x2 to 4x4")
+
+
+def test_criterion_9_structured_optima():
+    # exhaustive at seed 0; the largest proofs are sierpinski 11x11
+    # (about 51k merges) and counter 9x9 (about 16k)
+    for family, make_grid, n, want in PROVEN_OPTIMA:
+        g = make_grid(n, n)
+        res = tracked_solve(g, SolveConfig.exact(seed=0))
+        assert (res.best_size, res.proven_optimal) == (want, True), (family, n, res.best_size)
+        assert verify_solution(res.best_system, g).ok
+    print(f"criterion 9 PASS: {len(PROVEN_OPTIMA)} sierpinski (n = 2..12) and "
+          "counter (n = 3..9) optima proven: 3 tiles for sierpinski n < 4, else 4")

@@ -153,6 +153,13 @@ def test_assembly_tile_at():
         (0, 5), (0, 0),
     )
 )
+@example(  # tiles 0, 2 and 3 share the corner's key: report tiles 0 and 2
+    system=TileSystem(
+        1, 1,
+        (Tile(0, 0, 0, 0, 0), Tile(0, 0, 5, 5, 0), Tile(1, 1, 0, 0, 1), Tile(2, 2, 0, 0, 0)),
+        (0,), (0,),
+    )
+)
 def test_sweep_matches_frontier_loop(system):
     # the canonical sweep against the frontier loop, which the general
     # strength rule cross-checks at every step

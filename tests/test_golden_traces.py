@@ -8,11 +8,29 @@ solves); counter16 seed 0 (long forced-merge chains) and sierpinski16
 seed 1 (many deviating picks) were recorded before the conflict check
 moved to the key index.  They are copied here so the fast tier checks
 them on every run.
+
+The outputs are pinned too: a SHA-256 over every incumbent's emitted
+tile set and partition labels, in adoption order, for each golden solve
+and for the exact proofs of ``PROVEN_OPTIMA``.  These digests were
+recorded from the program before incumbent adoption was reworked for
+speed, so a faster adoption must still hand out byte-identical tile
+sets, made of ``Tile`` values.
 """
+
+import hashlib
 
 import pytest
 
-from patsolve import SolveConfig, gen_binary_counter, gen_random, gen_sierpinski, solve
+from patsolve import (
+    SolveConfig,
+    Tile,
+    emit_tileset,
+    gen_binary_counter,
+    gen_random,
+    gen_sierpinski,
+    solve,
+)
+from helpers import PROVEN_OPTIMA
 
 SIERPINSKI16_SEED0 = (
     (0, 256), (1, 255), (2, 254), (3, 253), (4, 252), (5, 251), (6, 250),
@@ -77,6 +95,22 @@ EXACT_5X5_GRID1000 = (
 )
 
 
+# SHA-256 of the incumbents' tile sets and labels (see the module docstring)
+OUTPUT_DIGESTS = {
+    "counter16/seed0":
+        "f7d986aee114c2cc5f4b246e0f8fe3ed5af04939b619a1efce32e8ef654480dc",
+    "exact_random/5x5/grid1000":
+        "b908031cd6d2cc40c9fc91a68f7e5016162359bd7adfe7e96a1d1e6b5df02738",
+    "random16/grid100":
+        "d3595942e693160cc2a3f64060393e36b22030eac1a0a511e96947516384e432",
+    "sierpinski16/seed0":
+        "578ef6a425c417ec183d793eef7fe142762fe1ad521660b2bc37cb4b4a92db77",
+    "sierpinski16/seed1":
+        "9121273700efd8bdfb9f5bdc08b2231823cddd366d819c80f14ef7cccb156721",
+    "proven_optima":
+        "dfacf61fc06343682f5a23fcd4007c91bea143cb412d9491f6121f06de8092d0",
+}
+
 GOLDEN = {
     "sierpinski16/seed0": (
         lambda: gen_sierpinski(16, 16),
@@ -106,13 +140,34 @@ GOLDEN = {
 }
 
 
+def solve_hashing_incumbents(grid, cfg, digest):
+    """Solve, feeding every incumbent's tile-set text and partition labels
+    to ``digest``; every tile must be a ``Tile``."""
+
+    def record(merges, size, system, partition):
+        assert all(type(t) is Tile for t in system.tiles)
+        digest.update(emit_tileset(system).encode())
+        digest.update((" ".join(map(str, partition.labels)) + "\n").encode())
+
+    return solve(grid, cfg, on_incumbent=record)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace(name):
     make_grid, cfg, trace, merges, best, proven = GOLDEN[name]
     grid = make_grid()
-    result = solve(grid, cfg)
+    digest = hashlib.sha256()
+    result = solve_hashing_incumbents(grid, cfg, digest)
+    assert digest.hexdigest() == OUTPUT_DIGESTS[name]
     assert result.trace == trace
     assert result.merges_performed == merges
     assert result.best_size == best
     assert len(result.best_system.tiles) == best
     assert result.proven_optimal is proven
+
+
+def test_golden_outputs_of_proven_optima():
+    digest = hashlib.sha256()
+    for _, make_grid, n, _ in PROVEN_OPTIMA:
+        solve_hashing_incumbents(make_grid(n, n), SolveConfig.exact(seed=0), digest)
+    assert digest.hexdigest() == OUTPUT_DIGESTS["proven_optima"]
