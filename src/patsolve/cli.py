@@ -29,7 +29,7 @@ from .pattern import (
     parse_pattern,
 )
 from .search import SolveConfig, solve
-from .tiles import TilesetError, emit_tileset, parse_tileset
+from .tiles import emit_tileset, parse_tileset
 
 
 def _read(path: str) -> str:

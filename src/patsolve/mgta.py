@@ -17,6 +17,11 @@ facing slots.  Class ids in results are canonical, numbered by first
 occurrence scanning parts in canonical order and sides in N, E, S, W
 order, so equal assignments have equal tables.
 
+Uniting parts of a partition only identifies their side classes
+pairwise, so the MGTA of a coarsening follows from the finer one's
+without a rebuild: ``coarsen`` unites part ids and class ids and
+renumbers both, and ``merge_tiles`` is one call of it.
+
 A partition is constructible, i.e. some deterministic tile system
 assembles exactly it, iff no two parts of its MGTA share both their
 south and west classes.  (Two parts with equal full quadruples are a
@@ -28,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
-from .partition import Partition, cell_index, merge_parts
+from .partition import Partition, canonical_signature, cell_index
 from .pattern import ColorGrid
 from .tiles import Tile, TileSystem
 
@@ -166,27 +171,90 @@ def _canonicalize(p: Partition, raw_quads: dict) -> GlueAssignment:
 
 def merge_tiles(f: GlueAssignment, p1: int, p2: int) -> GlueAssignment:
     """The MGTA after uniting parts p1 and p2: their four side classes are
-    identified pairwise.  Equals build_mgta(merge_parts(P, p1, p2))."""
+    identified pairwise.  Equals build_mgta(merge_parts(P, p1, p2)), with
+    canonical part ids.  An assignment whose part ids are not canonical
+    is renumbered first, so ``coarsen`` sees canonical labels."""
     p = f.partition
     k = p.num_parts
     if not (0 <= p1 < k and 0 <= p2 < k):
         raise ValueError(f"unknown part id in merge: {p1}, {p2}")
     if p1 == p2:
         raise ValueError("cannot merge a part with itself")
-    merged = merge_parts(p, p1, p2)
+    signature = canonical_signature(p)
+    if p.labels != signature:
+        canonical_id = dict(zip(p.labels, signature))
+        f = GlueAssignment(Partition(p.m, p.n, signature), f.canonical_quads, f.num_classes)
+        p1, p2 = canonical_id[p1], canonical_id[p2]
+    return coarsen(f, ((p1, p2),))
 
-    parent = list(range(f.num_classes))
-    for d in (N, E, S, W):
-        ra = _uf_find(parent, f.glues[p1][d])
-        rb = _uf_find(parent, f.glues[p2][d])
-        if ra != rb:
-            parent[rb] = ra
 
-    raw: dict = {}
-    for old_lab, new_lab in zip(p.labels, merged.labels):
-        if new_lab not in raw:
-            raw[new_lab] = tuple(_uf_find(parent, g) for g in f.glues[old_lab])
-    return _canonicalize(merged, raw)
+def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
+    """The MGTA of the partition ``f`` coarsens to when each (a, b) of
+    ``pairs`` unites the parts with ids a and b of ``f``, in one pass and
+    without a rebuild.  ``f`` must have canonical part ids (its labels are
+    its canonical signature), as ``build_mgta`` and ``coarsen`` give them.
+    Pairs may repeat, chain, or name parts that earlier pairs united; their
+    ids are not checked (``merge_tiles`` checks its pair).
+
+    Uniting two parts identifies their N, E, S, W classes pairwise and
+    nothing else, so a union-find over the part ids and one over the
+    class ids, each linking to the smaller id, gives the new partition
+    and its classes.  The new ids are the ranks of the surviving (root)
+    ids in their old order.  That is the canonical numbering: a united
+    part's first cell is its smallest id's first cell, and a class
+    first occurs in no part that was united away, because that part's
+    sides are identified with those of the part of smaller id it joined.
+    The labels and the flattened quads of the surviving parts are then
+    renumbered by ``map``, with no Python loop over the cells or classes.
+    """
+    glues = f.glues
+    up: dict[int, int] = {}  # united-away part id -> smaller part id
+    glue_up: dict[int, int] = {}  # likewise for class ids
+    for a, b in pairs:
+        while a in up:
+            a = up[a]
+        while b in up:
+            b = up[b]
+        if a == b:
+            continue  # already one part, so its sides are already one
+        if b < a:
+            a, b = b, a
+        up[b] = a
+        for g, h in zip(glues[a], glues[b]):
+            while g in glue_up:
+                g = glue_up[g]
+            while h in glue_up:
+                h = glue_up[h]
+            if g != h:
+                if h < g:
+                    g, h = h, g
+                glue_up[h] = g
+
+    p = f.partition
+    labels = tuple(map(_ranks(up, len(glues)).__getitem__, p.labels))
+    kept = list(glues)
+    for q in sorted(up, reverse=True):
+        del kept[q]
+    flat = map(_ranks(glue_up, f.num_classes).__getitem__, chain.from_iterable(kept))
+    quads = tuple(zip(flat, flat, flat, flat))
+    return GlueAssignment(Partition(p.m, p.n, labels), quads, f.num_classes - len(glue_up))
+
+
+def _ranks(up: dict[int, int], size: int) -> list[int]:
+    """For each id below ``size``, the rank of its root among the roots,
+    where ``up`` links every non-root id to a smaller id."""
+    out: list[int] = []
+    start = 0
+    for i, q in enumerate(sorted(up)):
+        out += range(start - i, q - i)  # ids start..q-1 follow i non-roots
+        out.append(0)  # q's entry, filled in below
+        start = q + 1
+    out += range(start - len(up), size - len(up))
+    for q, r in up.items():
+        while r in up:
+            r = up[r]
+        out[q] = out[r]
+    return out
 
 
 def constructibility(f: GlueAssignment) -> Constructibility:

@@ -41,16 +41,23 @@ isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
 rest of the walk; the random draws are the same either way.
 
-Adopting an incumbent is one pass over the cells and rebuilds nothing.
-The slot nodes of the union-find already are the MGTA of the current
-partition, so the pass labels each cell by first occurrence of its part
-root (canonical part order) and, at each part's first cell, finds the
-roots of its N, E, S, W slots and numbers them by first occurrence; that
-gives the ``Partition`` and exactly the class ids ``build_mgta`` would
-give.  The assignment still goes through ``extract_tas``, with its
-constructibility and colour checks, and the resulting tile system
-through the full simulation of ``verify_solution``, before ``progress``
-or ``on_incumbent`` hear of it.
+Adopting an incumbent rebuilds nothing.  Most incumbents lie below the
+last one on the same path, a merge or a few deeper, so their MGTA is
+that of the last incumbent coarsened by the merges since: the engine
+keeps the last incumbent's path length, last merge record and glue
+assignment, and when that record is still on the path (an identity
+test, so undo keeps no extra books) ``coarsen`` unites the old part ids
+of the new merges' anchors.  Otherwise (the root, and incumbents found
+after backtracking) ``_snapshot`` reads the assignment off the engine
+in one pass over the cells: the slot nodes of the union-find already
+are the MGTA of the current partition, so the pass labels each cell by
+first occurrence of its part root (canonical part order) and, at each
+part's first cell, numbers the roots of its N, E, S, W slots by first
+occurrence.  Both give the ``Partition`` and exactly the class ids
+``build_mgta`` would give.  The assignment still goes through
+``extract_tas``, with its constructibility and colour checks, and the
+resulting tile system through the full simulation of
+``verify_solution``, before ``progress`` or ``on_incumbent`` hear of it.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 
 from .atam import verify_solution
 from .keyindex import KeyIndex
-from .mgta import E, N, S, W, GlueAssignment, extract_tas
+from .mgta import E, N, S, W, GlueAssignment, coarsen, extract_tas
 from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
@@ -173,6 +180,10 @@ class _Engine:
     """
 
     def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
+        # Keep to at most 29 instance attributes.  CPython 3.11 keeps that
+        # many in its specialized per-class layout; one more turns every
+        # ``self.`` load of the search loop into a dict lookup (with a
+        # 30th, exact_random ran about 9% slower).
         self.grid = grid
         self.m, self.n, self.k = grid.m, grid.n, grid.k
         mn = self.mn = self.m * self.n
@@ -202,8 +213,11 @@ class _Engine:
         self.merges = 0
         self.best = mn + 1
         self.best_system: TileSystem | None = None
-        self.best_partition: Partition | None = None
         self.trace: list[tuple[int, int]] = []
+        # the last, so the best, incumbent: (path length, last merge record
+        # or None, MGTA).  Holding the record keeps its identity unique, and
+        # a record taken off the path is never pushed again.
+        self.last: tuple | None = None
 
         # adjacency identifications are permanent: installed before any
         # rollback mark is taken, so no undo ever reaches them
@@ -386,7 +400,15 @@ class _Engine:
         )
 
     def _adopt_incumbent(self) -> None:
-        glues = self._snapshot()
+        path, last = self.path, self.last
+        if last is not None and (not last[0] or path[last[0] - 1] is last[1]):
+            # below the last incumbent, whose path is still a prefix of
+            # ours (longer: every merge on a path takes one part away)
+            depth, _, glues = last
+            labels = glues.partition.labels
+            glues = coarsen(glues, [(labels[r[1]], labels[r[2]]) for r in path[depth:]])
+        else:
+            glues = self._snapshot()
         part = glues.partition
         assert part.num_parts == self.num_parts
         system = extract_tas(glues, self.grid)
@@ -398,7 +420,7 @@ class _Engine:
             )
         self.best = part.num_parts
         self.best_system = system
-        self.best_partition = part
+        self.last = (len(path), path[-1] if path else None, glues)
         self.trace.append((self.merges, self.best))
         if self.on_incumbent is not None:
             self.on_incumbent(self.merges, self.best, system, part)
@@ -566,11 +588,11 @@ def solve(
     """
     engine = _Engine(grid, cfg, progress, on_incumbent, observer, use_bound)
     proven = engine._run()
-    assert engine.best_system is not None and engine.best_partition is not None
+    assert engine.best_system is not None and engine.last is not None
     return SolveResult(
         best_size=engine.best,
         best_system=engine.best_system,
-        best_partition=engine.best_partition,
+        best_partition=engine.last[2].partition,
         proven_optimal=proven,
         merges_performed=engine.merges,
         trace=tuple(engine.trace),

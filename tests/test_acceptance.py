@@ -13,7 +13,6 @@ import pytest
 
 from patsolve import (
     SolveConfig,
-    SplitMix64,
     brute_constructible,
     build_mgta,
     constructibility,
@@ -106,8 +105,13 @@ def test_criterion_3_random_reduction(random_16_runs):
 def test_criterion_4_sierpinski_reduction(sierpinski_16_runs):
     sizes = [r.best_size for r in sierpinski_16_runs]
     assert all(s <= 25 for s in sizes), sizes
+    # seeds 0, 2, 3 and 4 exhaust the tree inside the cutoff (250k to 858k
+    # merges) and prove the 4-tile optimum; seed 1 does not
+    for seed in (0, 2, 3, 4):
+        run = sierpinski_16_runs[seed]
+        assert (run.best_size, run.proven_optimal) == (4, True), (seed, run.best_size)
     print(f"criterion 4 PASS: 16x16 sierpinski best sizes {sizes}, "
-          "all at >= 90% reduction")
+          "all at >= 90% reduction, 4 tiles proven optimal on seeds 0, 2, 3, 4")
 
 
 @pytest.mark.slow

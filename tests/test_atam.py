@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import event, example, given, settings
 
 from patsolve import (
@@ -9,7 +8,6 @@ from patsolve import (
     Tile,
     TileSystem,
     UniqueTerminal,
-    cell_index,
     gen_binary_counter,
     gen_sierpinski,
     simulate,

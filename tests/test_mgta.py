@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patsolve import (
     ColorGrid,
     SplitMix64,
+    Partition,
     build_mgta,
     brute_constructible,
     color_partition,
@@ -23,6 +24,7 @@ from patsolve import (
     UniqueTerminal,
     verify_solution,
 )
+from patsolve.mgta import coarsen
 from helpers import small_grids
 
 
@@ -136,6 +138,75 @@ def test_incremental_merge_matches_batch_rebuild():
             assert f.canonical_quads == batch.canonical_quads
             assert f.num_classes == batch.num_classes
 
+
+
+@st.composite
+def partitions(draw, max_side=5):
+    """Partitions of grids of up to ``max_side`` x ``max_side`` cells, with
+    canonical part ids."""
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    raw = draw(st.lists(st.integers(0, m * n - 1), min_size=m * n, max_size=m * n))
+    return partition_from_labels(m, n, raw)
+
+
+def united(p, pairs):
+    """The partition with the parts of each pair united, relabelled from
+    scratch."""
+    root = list(range(p.num_parts))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return partition_from_labels(p.m, p.n, [find(lab) for lab in p.labels])
+
+
+class TestCoarsen:
+    """``coarsen`` and ``merge_tiles`` against a fresh ``build_mgta`` of the
+    coarsened partition, part ids and class ids included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions(), data=st.data())
+    def test_matches_rebuild(self, p, data):
+        ids = st.integers(0, p.num_parts - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=5))
+        walk = data.draw(st.lists(ids, min_size=1, max_size=4))
+        # a chain a-b-c..., then its two ends and one part with itself,
+        # each already one part by then
+        pairs += list(zip(walk, walk[1:])) + [(walk[-1], walk[0]), (walk[0], walk[0])]
+        got = coarsen(build_mgta(p), pairs)
+        want = build_mgta(united(p, pairs))
+        assert got.partition.labels == want.partition.labels
+        assert got.glues == want.glues
+        assert got.num_classes == want.num_classes
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions(), data=st.data())
+    def test_merge_tiles_matches_rebuild(self, p, data):
+        k = p.num_parts
+        assume(k >= 2)
+        # the same grouping under any part ids, canonical or not
+        perm = data.draw(st.permutations(range(k)))
+        q = Partition(p.m, p.n, tuple(perm[lab] for lab in p.labels))
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        got = merge_tiles(build_mgta(q), a, b)
+        want = build_mgta(merge_parts(q, a, b))
+        assert got.partition.labels == want.partition.labels  # canonical ids
+        assert got.glues == want.glues
+        assert got.num_classes == want.num_classes
+
+    def test_merge_tiles_errors(self):
+        f = build_mgta(initial_partition(2, 2))
+        with pytest.raises(ValueError, match=r"^unknown part id in merge: 0, 4$"):
+            merge_tiles(f, 0, 4)
+        with pytest.raises(ValueError, match=r"^unknown part id in merge: -1, 2$"):
+            merge_tiles(f, -1, 2)
+        with pytest.raises(ValueError, match=r"^cannot merge a part with itself$"):
+            merge_tiles(f, 3, 3)
 
 class TestExtractTas:
     def test_stripes_round_trip(self):

@@ -8,7 +8,6 @@ from patsolve import (
     partition_from_labels,
     refines,
     color_partition,
-    verify_solution,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}

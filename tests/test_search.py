@@ -472,6 +472,93 @@ class TestIncumbentAssignment:
         assert len(res.trace) > 100
 
 
+def solve_checking_adoption(grid, cfg):
+    """Solve with each adopted assignment compared with ``_snapshot()`` of
+    the engine state it is adopted at: labels, class ids and class count.
+    Returns the result and how many incumbents ``coarsen`` derived and
+    how many were snapshotted after the root's."""
+    engines = []
+    counts = {"adopted": 0, "derived": 0}
+
+    class Engine(search_module._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    real_coarsen, real_extract = search_module.coarsen, search_module.extract_tas
+
+    def counted_coarsen(f, pairs):
+        counts["derived"] += 1
+        return real_coarsen(f, pairs)
+
+    def extract_checked(f, g):
+        ref = engines[-1]._snapshot()
+        assert f.partition.labels == ref.partition.labels
+        assert f.glues == ref.glues
+        assert f.num_classes == ref.num_classes
+        counts["adopted"] += 1
+        return real_extract(f, g)
+
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(search_module, "_Engine", Engine))
+        patches.enter_context(mock.patch.object(search_module, "coarsen", counted_coarsen))
+        patches.enter_context(mock.patch.object(search_module, "extract_tas", extract_checked))
+        result = solve(grid, cfg)
+    assert counts["adopted"] == len(result.trace)
+    return result, counts["derived"], counts["adopted"] - counts["derived"] - 1
+
+
+ADOPTION_WORKLOADS = {
+    "sierpinski16": lambda: [
+        (gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=s)) for s in range(5)
+    ],
+    "random16": lambda: [
+        (gen_random(16, 16, 2, g), SolveConfig.anytime(7500, seed=g)) for g in (100, 101)
+    ],
+    "counter16": lambda: [(gen_binary_counter(16, 16), SolveConfig.anytime(2 * 10**4, seed=0))],
+}
+
+
+class TestIncumbentDerivation:
+    """An incumbent below the last one on the search path has its MGTA
+    derived by ``coarsen`` from the last one's; any other is read off the
+    engine by ``_snapshot``.  The derived assignment must be the snapshot
+    exactly, and each workload must take both paths."""
+
+    @pytest.mark.parametrize("name", sorted(ADOPTION_WORKLOADS))
+    def test_workloads(self, name):
+        derived = snapshotted = 0
+        for grid, cfg in ADOPTION_WORKLOADS[name]():
+            _, d, s = solve_checking_adoption(grid, cfg)
+            derived += d
+            snapshotted += s
+        assert derived and snapshotted, (derived, snapshotted)
+
+    def test_small_grids_exact(self):
+        seen = {"derived": 0, "snapshotted": 0}
+
+        @settings(max_examples=150, deadline=None)
+        @given(grid=small_grids(max_cells=9), seed=st.integers(0, 1000))
+        @example(grid=gen_sierpinski(3, 3), seed=0)  # finds its optimum after backtracking
+        def check(grid, seed):
+            _, d, s = solve_checking_adoption(grid, SolveConfig.exact(seed=seed))
+            seen["derived"] += d
+            seen["snapshotted"] += s
+
+        check()
+        assert all(seen.values()), seen
+
+
+def test_engine_attributes_fit_the_specialized_layout():
+    # CPython 3.11 specializes ``self.x`` loads only on instances of at most
+    # 29 attributes; a 30th engine attribute slowed exact_random by about 9%
+    engine = search_module._Engine(
+        gen_sierpinski(5, 5), SolveConfig.exact(), None, None, None, True
+    )
+    assert engine._run()
+    assert len(vars(engine)) <= 29, sorted(vars(engine))
+
+
 def stack_depth() -> int:
     depth, frame = 0, sys._getframe(1)
     while frame is not None:
