@@ -9,20 +9,22 @@ node it was last synced at:
 * ``south`` and ``west``: each anchor's S and W slot root, flat per cell;
 * ``by_root``: slot root -> the anchors whose S or W root it is.
 
-Roots change only by linking, and every link is on the engine's trail.
-So after merges below the indexed node, the parts whose key may have
-moved are exactly the anchors indexed under a root linked on the trail
-since the index's mark; every other live part keeps its key, and those
-keys are still distinct.  ``conflict`` uses that to find a child's first
-conflict from the few touched parts; ``sync`` moves the index down to a
-constructible descendant in place and ``revert`` moves it back up once
-the engine's trail is back at the old mark, recomputing the old roots by
-``find`` rather than logging every write.
+Roots change only by linking.  So after merges below the indexed node,
+the parts whose key may have moved are exactly the anchors indexed under
+a root that was linked; every other live part keeps its key, and those
+keys are still distinct.  ``probe`` uses that to find the first conflict
+of a child of the indexed node from the few parts the child's merge
+would touch, without applying the merge: it works out which roots the
+merge would link in a small dict of its own.  ``sync`` moves the index
+down to a constructible descendant in place, finding the linked roots on
+the engine's trail since the index's mark, and ``revert`` moves it back
+up once the engine's trail is back at the old mark, recomputing the old
+roots by ``find`` rather than logging every write.
 """
 
 from __future__ import annotations
 
-from .mgta import S, W
+from .mgta import E, N, S, W
 
 
 class KeyIndex:
@@ -64,56 +66,76 @@ class KeyIndex:
         self.by_root[s].discard(a)
         self.by_root[w].discard(a)
 
-    def _touched(self) -> set[int]:
-        """Anchors indexed under a root linked since the mark (part nodes
-        on the trail are never index roots)."""
+    def probe(self, lo: int, hi: int):
+        """The first conflict (canonical order) of the state that merging
+        the parts anchored at ``lo < hi`` would make from the indexed node,
+        or None when that state is constructible.  Nothing is applied.
+
+        The merge unites the two parts' N, E, S and W slot classes.  The
+        roots those unions would link are redirected to the roots they
+        would join, in a small dict; only the anchors indexed under a
+        redirected root change key, and ``hi`` is gone.  The full scan
+        returns, among the key groups of two or more live parts, the group
+        whose second-smallest anchor is least, paired with that group's
+        smallest anchor.  Only groups holding a touched part can have two
+        members: the touched parts of one new key plus the untouched part
+        that holds it in ``owner`` (a new key is made of unredirected
+        roots, so its owner is never touched).  The touched anchors are
+        walked in ascending order, so a group's first walked member is its
+        smallest touched one, and the walk stops once an anchor reaches
+        the second member of the best group found so far."""
+        p, south, west = self.parent, self.south, self.west
+        n0 = 4 * lo + N
+        while p[n0] != n0:
+            n0 = p[n0]
+        n1 = 4 * hi + N
+        while p[n1] != n1:
+            n1 = p[n1]
+        e0 = 4 * lo + E
+        while p[e0] != e0:
+            e0 = p[e0]
+        e1 = 4 * hi + E
+        while p[e1] != e1:
+            e1 = p[e1]
+        red: dict[int, int] = {}
+        for x, y in ((n0, n1), (e0, e1), (south[lo], south[hi]), (west[lo], west[hi])):
+            while x in red:
+                x = red[x]
+            while y in red:
+                y = red[y]
+            if x != y:
+                red[y] = x
         by_root = self.by_root
         touched: set[int] = set()
-        for r in self.trail[self.mark:]:
+        for r in red:
             t = by_root.get(r)
             if t:
                 touched |= t
-        return touched
-
-    def conflict(self, hi: int):
-        """The first conflict (canonical order) of the state one merge
-        below the indexed node, whose merge removed the part anchored at
-        ``hi``; None when that state is constructible.
-
-        The full scan returns, among the key groups of two or more live
-        parts, the group whose second-smallest anchor is least, paired
-        with that group's smallest anchor.  Only groups holding a touched
-        part can have two members: such a group is the touched parts of
-        one new key plus the untouched part that already held it."""
-        touched = self._touched()
         touched.discard(hi)
-        if not touched:
-            return None
-        p, stride = self.parent, self.stride
-        groups: dict[int, list[int]] = {}
-        for a in touched:
-            s = 4 * a + S
-            while p[s] != s:
-                s = p[s]
-            w = 4 * a + W
-            while p[w] != w:
-                w = p[w]
-            key = s * stride + w
-            g = groups.get(key)
-            if g is None:
-                groups[key] = [a]
-            else:
-                g.append(a)
-        owner = self.owner
+        owner, stride = self.owner, self.stride
+        seen: dict[int, int] = {}
         best = None
-        for key, g in groups.items():
+        bound = stride  # past every anchor
+        for a in sorted(touched):
+            if a >= bound:
+                break
+            s = south[a]
+            while s in red:
+                s = red[s]
+            w = west[a]
+            while w in red:
+                w = red[w]
+            key = s * stride + w
+            t = seen.get(key)
+            if t is not None:
+                return (t, a)  # the group's owner, if any, is above a
             b = owner.get(key)
-            if b is not None and b != hi and b not in touched:
-                g.append(b)
-            if len(g) > 1:
-                g.sort()
-                if best is None or g[1] < best[1]:
-                    best = (g[0], g[1])
+            if b is not None and b != hi:
+                if b < a:
+                    return (b, a)
+                if b < bound:
+                    best, bound = (a, b), b
+            seen[key] = a
         return best
 
     def sync(self, path) -> None:
@@ -127,7 +149,14 @@ class KeyIndex:
             if rec[0] < mark:
                 break
             gone.append(rec[2])
-        touched = self._touched()
+        # the anchors indexed under a root linked since the mark (part
+        # nodes on the trail are never index roots)
+        by_root = self.by_root
+        touched: set[int] = set()
+        for r in self.trail[mark:]:
+            t = by_root.get(r)
+            if t:
+                touched |= t
         for a in gone:
             self._drop(a)
             touched.discard(a)

@@ -33,11 +33,16 @@ A node's first conflict is the first pair of live parts, in canonical
 order, with equal (S-root, W-root) keys.  While a constructible node has
 at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
 synced to it in place (built at the root, reverted when ``_run`` undoes
-the merge that returns the trail to the sync's mark), and its children
-find their conflict from the few parts whose keys their merge moved
-instead of scanning every part.  Nodes after a forced merge scan, so a
-forced chain syncs the index once, at its constructible end.  The
-isolated vertices are walked off the live list lazily, since most
+the merge that returns the trail to the sync's mark).  Each child of
+the synced node is probed before it is made: the index finds the
+child's first conflict from the few parts whose keys the merge would
+move, without scanning every part and without applying the merge.
+Most children die at once, and a child whose probed conflict is fatal
+(across colours, or a pair in the child's clique) is counted as a merge
+but never applied or undone; only with an observer attached is every
+child made, so that the observer sees it.  Nodes after a forced merge
+scan, so a forced chain syncs the index once, at its constructible end.
+The isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
 rest of the walk; the random draws are the same either way.
 
@@ -84,9 +89,10 @@ from .partition import partition_from_labels  # noqa: F401
 _DEVIATION = 32
 
 # Constructible nodes with at least this many live parts keep the key index
-# synced, so their children check conflicts locally; below it the plain
-# scan is as cheap as the index upkeep.
-_KEYED_PARTS = 128
+# synced, so their children are probed on it instead of made and scanned.
+# Grids of fewer cells never build the index: with it synced at every size,
+# exact solves of random 4x4 and 5x5 grids ran about 1.3x slower.
+_KEYED_PARTS = 64
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -441,15 +447,20 @@ class _Engine:
         of the path's edges.  Before a node is asked for its next child,
         the merges below it are undone, which also rewinds a dead forced
         chain, and undoing a merge that takes the trail back to the mark
-        of the key index's last sync reverts that sync.  A cutoff abandons
-        the state mid-tree: the engine is not used after it."""
+        of the key index's last sync reverts that sync.  A child of the
+        node the index is synced at is probed first (``keys.mark`` equals
+        the trail's length only there, since every merge links its part
+        nodes), and made only if its conflict is not fatal or an observer
+        is attached.  A cutoff abandons the state mid-tree: the engine is
+        not used after it."""
         keys, path, colors, clique = self.keys, self.path, self.colors, self.clique
+        trail, observer = self.trail, self.observer
         stack: list[tuple] = []
         conflict = self._find_conflict()
         while True:
             # follow the forced merges from the node just entered
             while True:
-                if self.observer is not None:
+                if observer is not None:
                     self._observe(conflict is None)
                 if conflict is None:
                     stack.append((self._node(), len(path)))
@@ -466,28 +477,46 @@ class _Engine:
                 path.append(self._apply_merge(p1, p2, col))
                 self._tick()
                 conflict = self._find_conflict()
-            # the next child of the deepest constructible node that has one
-            while stack:
-                children, depth = stack[-1]
-                while len(path) > depth:
-                    rec = path.pop()
-                    self._undo_merge(rec)
-                    if keys is not None:
-                        keys.rewound(rec[0])
-                move = next(children, None)
-                if move is not None:
+            # the next child of the deepest constructible node that has one,
+            # skipping the children the probe finds dead
+            while True:
+                while stack:
+                    children, depth = stack[-1]
+                    while len(path) > depth:
+                        rec = path.pop()
+                        self._undo_merge(rec)
+                        if keys is not None:
+                            keys.rewound(rec[0])
+                    move = next(children, None)
+                    if move is not None:
+                        break
+                    stack.pop()
+                else:
+                    return True
+                if self.merges >= self.cutoff:
+                    return False
+                lo, hi, col = move
+                probed = keys is not None and keys.mark == len(trail)
+                if not probed:
                     break
-                stack.pop()
-            else:
-                return True
-            if self.merges >= self.cutoff:
-                return False
-            rec = self._apply_merge(*move)
-            path.append(rec)
+                conflict = keys.probe(lo, hi)
+                if conflict is None or observer is not None:
+                    break
+                p1, p2 = conflict
+                c = colors[p1]
+                if colors[p2] == c:
+                    # excluded in the child: both in its clique, where lo
+                    # stands for hi (hi is in no other colour's clique)
+                    cl = clique[c]
+                    lo_in = hi in cl
+                    if not (
+                        (p1 in cl or lo_in and p1 == lo) and (p2 in cl or lo_in and p2 == lo)
+                    ):
+                        break
+                self._tick()
+            path.append(self._apply_merge(lo, hi, col))
             self._tick()
-            if keys is not None and keys.mark == rec[0]:
-                conflict = keys.conflict(rec[2])  # a child of the indexed node
-            else:
+            if not probed:
                 conflict = self._find_conflict()
 
     def _pruned(self) -> bool:

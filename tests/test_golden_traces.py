@@ -1,4 +1,4 @@
-"""Golden traces: the full (merges, best) trace of five fixed solves.
+"""Golden traces: the full (merges, best) trace of six fixed solves.
 
 Merge counts are deterministic, so any change to the search that moves
 one of these traces has changed what the search does, not just how fast
@@ -6,8 +6,10 @@ it does it.  The first three were recorded from the program before any
 performance work (they are the benchmark's references for the same
 solves); counter16 seed 0 (long forced-merge chains) and sierpinski16
 seed 1 (many deviating picks) were recorded before the conflict check
-moved to the key index.  They are copied here so the fast tier checks
-them on every run.
+moved to the key index; random10 grid 8 (100 cells, 3 colours) was
+recorded while the index still left grids under 128 cells to the plain
+scan, before its threshold came down to 64 parts.  They are copied here
+so the fast tier checks them on every run.
 
 The outputs are pinned too: a SHA-256 over every incumbent's emitted
 tile set and partition labels, in adoption order, for each golden solve
@@ -88,6 +90,18 @@ SIERPINSKI16_SEED1 = (
     (1662, 22),
 )
 
+RANDOM10_GRID8 = (
+    (0, 100), (1, 99), (2, 98), (3, 97), (4, 96), (5, 95), (6, 94), (7, 93),
+    (8, 92), (12, 88), (22, 87), (23, 86), (29, 85), (30, 84), (32, 83),
+    (33, 82), (37, 81), (41, 80), (44, 79), (45, 78), (65, 77), (68, 76),
+    (73, 75), (87, 74), (93, 73), (97, 72), (100, 71), (105, 67), (106, 66),
+    (119, 65), (125, 64), (133, 63), (145, 62), (153, 61), (167, 60),
+    (170, 58), (172, 57), (173, 56), (188, 55), (193, 53), (205, 52),
+    (217, 51), (228, 49), (239, 48), (241, 46), (248, 44), (254, 42),
+    (267, 41), (271, 40), (340, 39), (352, 37), (353, 36), (366, 35),
+    (428, 34), (11418, 33),
+)
+
 EXACT_5X5_GRID1000 = (
     (0, 25), (1, 24), (2, 23), (3, 22), (4, 21), (9, 19), (10, 18), (12, 17),
     (15, 16), (17, 15), (19, 13), (20, 12), (29, 11), (33, 10), (35, 8),
@@ -101,6 +115,8 @@ OUTPUT_DIGESTS = {
         "f7d986aee114c2cc5f4b246e0f8fe3ed5af04939b619a1efce32e8ef654480dc",
     "exact_random/5x5/grid1000":
         "b908031cd6d2cc40c9fc91a68f7e5016162359bd7adfe7e96a1d1e6b5df02738",
+    "random10/grid8":
+        "9313a3dad00b17b944ad5860a232f97b8ce35b02171351142d9321c940c46316",
     "random16/grid100":
         "d3595942e693160cc2a3f64060393e36b22030eac1a0a511e96947516384e432",
     "sierpinski16/seed0":
@@ -131,6 +147,11 @@ GOLDEN = {
         lambda: gen_random(16, 16, 2, 100),
         SolveConfig.anytime(7500, seed=100),
         RANDOM16_GRID100, 7500, 68, False,
+    ),
+    "random10/grid8": (
+        lambda: gen_random(10, 10, 3, 8),
+        SolveConfig.anytime(20_000, seed=8),
+        RANDOM10_GRID8, 20_000, 33, False,
     ),
     "exact_random/5x5/grid1000": (
         lambda: gen_random(5, 5, 2, 1000),

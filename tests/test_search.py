@@ -16,6 +16,7 @@ from patsolve import (
     build_mgta,
     color_partition,
     constructibility,
+    emit_tileset,
     enumerate_min_tileset,
     extract_tas,
     gen_binary_counter,
@@ -640,12 +641,45 @@ def scan_conflict(parent, nxt, mn):
     return None
 
 
+def live_anchors(nxt, mn):
+    """The live anchors of the list ``nxt`` (sentinel ``mn``), in order."""
+    live = []
+    a = nxt[mn]
+    while a != mn:
+        live.append(a)
+        a = nxt[a]
+    return live
+
+
+def merged_lists(parent, nxt, mn, lo, hi):
+    """Copies of ``parent`` and ``nxt`` (sentinel ``mn``) describing the
+    state one merge of the parts anchored at ``lo < hi`` away: the two
+    parts' N, E, S and W slot pairs united (roots linked in any
+    direction), and ``hi`` unlinked from the live list."""
+    parent, nxt = list(parent), list(nxt)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for side in range(4):
+        a, b = find(4 * lo + side), find(4 * hi + side)
+        if a != b:
+            parent[b] = a
+    a = mn
+    while nxt[a] != hi:
+        a = nxt[a]
+    nxt[a] = nxt[hi]
+    return parent, nxt
+
+
 def solve_with_checked_index(grid, cfg, keyed_parts=None):
-    """Solve with the key index cross-checked at every use: each local
-    conflict check against a full scan of the engine state, and the index
+    """Solve with the key index cross-checked at every use: each probe
+    against a full scan of the merged state it describes, and the index
     after each sync and each revert against a fresh build.  Returns the
     result and the number of checks of each kind."""
-    counts = {"build": 0, "conflict": 0, "sync": 0, "revert": 0}
+    counts = {"build": 0, "probe": 0, "sync": 0, "revert": 0}
 
     class CheckedIndex(KeyIndex):
         def __init__(self, parent, trail, nxt, mn):
@@ -657,11 +691,11 @@ def solve_with_checked_index(grid, cfg, keyed_parts=None):
             assert index_state(self) == index_state(KeyIndex(*self.lists))
             counts[kind] += 1
 
-        def conflict(self, hi):
-            got = super().conflict(hi)
+        def probe(self, lo, hi):
+            got = super().probe(lo, hi)
             parent, _, nxt, mn = self.lists
-            assert got == scan_conflict(parent, nxt, mn)
-            counts["conflict"] += 1
+            assert got == scan_conflict(*merged_lists(parent, nxt, mn, lo, hi), mn)
+            counts["probe"] += 1
             return got
 
         def sync(self, path):
@@ -687,6 +721,17 @@ KEYED_WORKLOADS = {
 }
 
 
+SHORTCUT_SOLVES = {
+    "random16": lambda: (gen_random(16, 16, 2, 100), SolveConfig.anytime(2000, seed=100), None),
+    "sierpinski16": lambda: (gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0), None),
+    # in each of these one child dies on a pair of its clique that holds
+    # the merged part, which took its clique member's place: as the pair's
+    # second member, then as its first
+    "random4x3": lambda: (gen_random(4, 3, 2, 375), SolveConfig.exact(seed=375), 1),
+    "random3x4": lambda: (gen_random(3, 4, 2, 2580), SolveConfig.exact(seed=2580), 1),
+}
+
+
 class TestKeyIndex:
     """The key index against the full determinism scan and a fresh build.
     Traces must not move either: the golden traces pin that."""
@@ -697,10 +742,9 @@ class TestKeyIndex:
         make_grid, seed = KEYED_WORKLOADS[name]
         cfg = SolveConfig.anytime(2000, seed=seed)
         result, counts = solve_with_checked_index(make_grid(), cfg, keyed_parts)
-        # after its first descent random16 stays under the default
-        # threshold, and neither it nor counter16 backs out of a synced
-        # node this early; the exact solves below revert every sync
-        assert counts["build"] == 1 and counts["conflict"] and counts["sync"], counts
+        # neither random16 nor counter16 backs out of a synced node this
+        # early; the exact solves below revert every sync
+        assert counts["build"] == 1 and counts["probe"] and counts["sync"], counts
         assert counts["revert"] or name != "sierpinski16", counts
         assert result.trace == solve(make_grid(), cfg).trace
 
@@ -713,8 +757,8 @@ class TestKeyIndex:
         cfg = SolveConfig.exact(seed=seed)
         result, counts = solve_with_checked_index(grid, cfg, keyed_parts=1)
         # the index is built at the root, so every child of the root is
-        # checked locally; only a grid whose root has no child checks none
-        assert counts["conflict"] or result.merges_performed == 0, counts
+        # probed; only a grid whose root has no child probes none
+        assert counts["probe"] or result.merges_performed == 0, counts
         assert counts["sync"] == counts["revert"]  # exhaustion undoes every sync
         reference = solve(grid, cfg)
         assert (result.trace, result.merges_performed) == (
@@ -727,9 +771,82 @@ class TestKeyIndex:
         _, counts = solve_with_checked_index(gen_random(5, 5, 2, 1000), SolveConfig.exact(seed=1000))
         assert not any(counts.values())
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=small_grids(max_cells=16),
+        picks=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
+    )
+    # merging parts 0 and 5 here links no root of part 5's key, which the
+    # merged part 0 then shares
+    @example(grid=ColorGrid(2, 4, 1, (0,) * 8), picks=[(14, 12), (6, 14), (8, 10), (15, 3)])
+    def test_probe_every_pair(self, grid, picks):
+        # each pick merges two live parts and then the forced chain below
+        # it, so the state stays constructible; the index built there must
+        # give, for every pair of live parts whatever their colours, the
+        # first conflict of the state merging them would make
+        engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
+        parent, nxt, mn = engine.parent, engine.nxt, engine.mn
+        for i, j in picks:
+            live = live_anchors(nxt, mn)
+            lo, hi = sorted((live[i % len(live)], live[j % len(live)]))
+            while lo != hi:
+                engine._apply_merge(lo, hi, engine.colors[lo])
+                lo, hi = engine._find_conflict() or (0, 0)
+        index = KeyIndex(parent, engine.trail, nxt, mn)
+        for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
+            expected = scan_conflict(*merged_lists(parent, nxt, mn, lo, hi), mn)
+            assert index.probe(lo, hi) == expected, (lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
+    def test_dead_children_are_not_made(self, name):
+        # a child of the synced node whose probed conflict is fatal is
+        # counted but never applied, unless an observer is attached: then
+        # every child is made, and the search must be the same either way
+        grid, cfg, keyed_parts = SHORTCUT_SOLVES[name]()
+        real_apply = search_module._Engine._apply_merge
+
+        def solve_counting_applies(**options):
+            """The result, the number of merges applied, and how many of
+            them made a child of the synced node that dies at once."""
+            applies = [0, 0]
+
+            def counted_apply(engine, lo, hi, col):
+                keys = engine.keys
+                synced = keys is not None and keys.mark == len(engine.trail)
+                rec = real_apply(engine, lo, hi, col)
+                applies[0] += 1
+                conflict = synced and scan_conflict(engine.parent, engine.nxt, engine.mn)
+                if conflict:
+                    p1, p2 = conflict
+                    c = engine.colors[p1]
+                    cl = engine.clique[c]
+                    applies[1] += engine.colors[p2] != c or (p1 in cl and p2 in cl)
+                return rec
+
+            with ExitStack() as patches:
+                patches.enter_context(
+                    mock.patch.object(search_module._Engine, "_apply_merge", counted_apply)
+                )
+                if keyed_parts is not None:
+                    patches.enter_context(
+                        mock.patch.object(search_module, "_KEYED_PARTS", keyed_parts)
+                    )
+                result = solve(grid, cfg, **options)
+            return result, applies
+
+        plain, (plain_applies, plain_dead) = solve_counting_applies()
+        observed, (observed_applies, observed_dead) = solve_counting_applies(
+            observer=lambda node: None
+        )
+        assert plain.trace == observed.trace
+        assert plain.merges_performed == observed.merges_performed
+        assert emit_tileset(plain.best_system) == emit_tileset(observed.best_system)
+        assert observed_applies == observed.merges_performed and observed_dead
+        assert plain_applies < plain.merges_performed and not plain_dead
+
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(KEYED_WORKLOADS))
     def test_workloads_long(self, name):
         make_grid, seed = KEYED_WORKLOADS[name]
         _, counts = solve_with_checked_index(make_grid(), SolveConfig.anytime(10**5, seed=seed))
-        assert counts["conflict"] and counts["sync"], counts
+        assert counts["probe"] and counts["sync"], counts
