@@ -17,9 +17,10 @@ of a child of the indexed node from the few parts the child's merge
 would touch, without applying the merge: it works out which roots the
 merge would link in a small dict of its own.  ``sync`` moves the index
 down to a constructible descendant in place, finding the linked roots on
-the engine's trail since the index's mark, and ``revert`` moves it back
-up once the engine's trail is back at the old mark, recomputing the old
-roots by ``find`` rather than logging every write.
+the engine's trail since the index's mark, and returns the old roots of
+the anchors it rekeyed.  ``restore`` moves the index back up from those
+saved roots, so it needs no ``find`` and can run while the engine still
+sits at the descendant, as the node that synced ends.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class KeyIndex:
         self.west = [0] * mn
         self.by_root: dict[int, set[int]] = {}
         self.mark = len(trail)
-        self.undo: list[tuple[int, set[int], list[int]]] = []
         a = nxt[mn]
         while a != mn:
             self._add(a)
@@ -55,6 +55,11 @@ class KeyIndex:
             w = p[w]
         self.south[a] = s
         self.west[a] = w
+        self._put(a)
+
+    def _put(self, a: int) -> None:
+        """Index ``a`` under the roots ``south`` and ``west`` hold for it."""
+        s, w = self.south[a], self.west[a]
         self.owner[s * self.stride + w] = a
         by_root = self.by_root
         by_root.setdefault(s, set()).add(a)
@@ -138,11 +143,12 @@ class KeyIndex:
             seen[key] = a
         return best
 
-    def sync(self, path) -> None:
+    def sync(self, path) -> tuple[int, list[tuple[int, int, int]], list[int]]:
         """Move the index down to the current state, which must be
-        constructible.  ``path`` is the engine's list of merge records
-        (trail mark first, merged-away anchor third) from the root; the
-        records taken since the index's mark name the parts that are gone."""
+        constructible, and return the token ``restore`` takes to move it
+        back.  ``path`` is the engine's list of merge records (trail mark
+        first, merged-away anchor third) from the root; the records taken
+        since the index's mark name the parts that are gone."""
         mark = self.mark
         gone = []
         for rec in reversed(path):
@@ -160,27 +166,29 @@ class KeyIndex:
         for a in gone:
             self._drop(a)
             touched.discard(a)
+        south, west = self.south, self.west
+        saved = [(a, south[a], west[a]) for a in touched]
         for a in touched:
             self._drop(a)
         for a in touched:
             self._add(a)
-        self.undo.append((mark, touched, gone))
         self.mark = len(self.trail)
+        return mark, saved, gone
 
-    def rewound(self, mark: int) -> None:
-        """The engine's trail was just cut back to ``mark``: revert the last
-        sync if it started there."""
-        if self.undo and self.undo[-1][0] == mark:
-            self.revert()
-
-    def revert(self) -> None:
-        """Undo the last sync; the engine's trail must be back at the mark
-        that sync started from."""
-        mark, touched, gone = self.undo.pop()
-        for a in touched:
+    def restore(self, token) -> None:
+        """Undo the sync that returned ``token``, with the engine's trail
+        back at the node that sync moved the index to.  The saved roots
+        are put back as they were, so nothing is found again; a gone part
+        was never rekeyed, so its ``south`` and ``west`` still hold its
+        roots."""
+        mark, saved, gone = token
+        for a, _, _ in saved:
             self._drop(a)
-        for a in touched:
-            self._add(a)
+        south, west = self.south, self.west
+        for a, s, w in saved:
+            south[a] = s
+            west[a] = w
+            self._put(a)
         for a in gone:
-            self._add(a)
+            self._put(a)
         self.mark = mark

@@ -54,9 +54,6 @@ class Partition:
             raise ValueError("part ids must be compact: 0..num_parts-1, all used")
         object.__setattr__(self, "num_parts", len(seen))
 
-    def part_of(self, x: int, y: int) -> int:
-        return self.labels[cell_index(x, y, self.m)]
-
     @cached_property
     def parts(self) -> tuple[frozenset[tuple[int, int]], ...]:
         """Cell sets by part id, as (x, y) coordinate sets."""

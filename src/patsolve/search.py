@@ -32,12 +32,13 @@ state.  Equal seeds give equal runs.
 A node's first conflict is the first pair of live parts, in canonical
 order, with equal (S-root, W-root) keys.  While a constructible node has
 at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
-synced to it in place (built at the root, reverted when ``_run`` undoes
-the merge that returns the trail to the sync's mark).  Each child of
-the synced node is probed before it is made: the index finds the
-child's first conflict from the few parts whose keys the merge would
-move, without scanning every part and without applying the merge.
-Most children die at once, and a child whose probed conflict is fatal
+synced to it in place (built at the root), and the node restores the
+index when it ends, after undoing its clique joins: like those joins,
+what a node does on entry it undoes at its exit.  Each child of the
+synced node is probed before it is made: the index finds the child's
+first conflict from the few parts whose keys the merge would move,
+without scanning every part and without applying the merge.  Most
+children die at once, and a child whose probed conflict is fatal
 (across colours, or a pair in the child's clique) is counted as a merge
 but never applied or undone; only with an observer attached is every
 child made, so that the observer sees it.  Nodes after a forced merge
@@ -181,8 +182,9 @@ class _Engine:
     startup; a part merge links the two part nodes and unites the parts'
     four slot pairs.  Roots are linked by size and finds never compress,
     so a find walks at most O(log n) links and only a link writes.  Every
-    link pushes the linked root on one trail, and undoing a merge pops the
-    trail back to its mark, unlinking each root from its parent.
+    link a merge makes pushes the linked root on one trail, and undoing
+    the merge pops the trail back to its mark, unlinking each root from
+    its parent.
     """
 
     def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
@@ -191,8 +193,8 @@ class _Engine:
         # ``self.`` load of the search loop into a dict lookup (with a
         # 30th, exact_random ran about 9% slower).
         self.grid = grid
-        self.m, self.n, self.k = grid.m, grid.n, grid.k
-        mn = self.mn = self.m * self.n
+        m = grid.m
+        mn = self.mn = m * grid.n
         self.colors = list(grid.cells)
         self.cutoff = (1 << 62) if cfg.cutoff_merges is None else cfg.cutoff_merges
         self.report_every = cfg.report_every
@@ -213,8 +215,8 @@ class _Engine:
         self.prv = [mn] + list(range(mn))
         self.num_parts = mn
 
-        self.clique: list[set[int]] = [set() for _ in range(self.k)]
-        self.bound = self.k
+        self.clique: list[set[int]] = [set() for _ in range(grid.k)]
+        self.bound = grid.k
 
         self.merges = 0
         self.best = mn + 1
@@ -225,45 +227,29 @@ class _Engine:
         # a record taken off the path is never pushed again.
         self.last: tuple | None = None
 
-        # adjacency identifications are permanent: installed before any
-        # rollback mark is taken, so no undo ever reaches them
-        m = self.m
+        # adjacency identifications are permanent, so they stay off the
+        # trail.  Each joins two singleton slots (no slot is in two pairs),
+        # linked as a merge would link them.
+        p, sz = self.parent, self.size
         for c in range(mn):
-            x = c % m + 1
-            y = c // m + 1
-            if x < m:
-                self._union(4 * c + E, 4 * (c + 1) + W)
-            if y < self.n:
-                self._union(4 * c + N, 4 * (c + m) + S)
+            if c % m + 1 < m:
+                p[4 * (c + 1) + W] = 4 * c + E
+                sz[4 * c + E] = 2
+            if c + m < mn:
+                p[4 * (c + m) + S] = 4 * c + N
+                sz[4 * c + N] = 2
 
         self.path: list[tuple] = []  # merge records of the current path
         self.keys = None
         if mn >= _KEYED_PARTS:
             self.keys = KeyIndex(self.parent, self.trail, self.nxt, mn)
 
-    # -- rollback union-find ------------------------------------------------
-
-    def _union(self, a: int, b: int) -> None:
-        p = self.parent
-        while p[a] != a:
-            a = p[a]
-        while p[b] != b:
-            b = p[b]
-        if a == b:
-            return
-        sz = self.size
-        if sz[a] < sz[b]:
-            a, b = b, a
-        p[b] = a
-        sz[a] += sz[b]
-        self.trail.append(b)
-
     # -- merge and undo -----------------------------------------------------
 
     def _apply_merge(self, lo: int, hi: int, col: int):
         """Unite the parts anchored at lo < hi (same colour col): their part
-        nodes and their four slot pairs, as in ``_union``.  Returns an
-        opaque record for _undo_merge."""
+        nodes and their four slot pairs, each linked by size onto the
+        trail.  Returns an opaque record for _undo_merge."""
         p, sz, trail = self.parent, self.size, self.trail
         mark = len(trail)
         pb, a0, b0 = self.pbase, 4 * lo, 4 * hi
@@ -384,7 +370,7 @@ class _Engine:
                     glue_id(west, len(glue_ids)),
                 ))
             labels.append(lab)
-        part = Partition(self.m, self.n, tuple(labels))
+        part = Partition(self.grid.m, self.grid.n, tuple(labels))
         return GlueAssignment(part, tuple(quads), len(glue_ids))
 
     def _observe(self, constructible: bool) -> None:
@@ -446,13 +432,12 @@ class _Engine:
         and the length ``path`` had there; ``path`` holds the merge records
         of the path's edges.  Before a node is asked for its next child,
         the merges below it are undone, which also rewinds a dead forced
-        chain, and undoing a merge that takes the trail back to the mark
-        of the key index's last sync reverts that sync.  A child of the
-        node the index is synced at is probed first (``keys.mark`` equals
-        the trail's length only there, since every merge links its part
-        nodes), and made only if its conflict is not fatal or an observer
-        is attached.  A cutoff abandons the state mid-tree: the engine is
-        not used after it."""
+        chain; undo leaves the key index alone, since each synced node
+        restores it as it ends.  A child of the node the index is synced
+        at is probed first (``keys.mark`` equals the trail's length only
+        there, since every merge links its part nodes), and made only if
+        its conflict is not fatal or an observer is attached.  A cutoff
+        abandons the state mid-tree: the engine is not used after it."""
         keys, path, colors, clique = self.keys, self.path, self.colors, self.clique
         trail, observer = self.trail, self.observer
         stack: list[tuple] = []
@@ -483,10 +468,7 @@ class _Engine:
                 while stack:
                     children, depth = stack[-1]
                     while len(path) > depth:
-                        rec = path.pop()
-                        self._undo_merge(rec)
-                        if keys is not None:
-                            keys.rewound(rec[0])
+                        self._undo_merge(path.pop())
                     move = next(children, None)
                     if move is not None:
                         break
@@ -536,15 +518,18 @@ class _Engine:
         """Yield the children of the constructible node the state sits on,
         as merges (lo, hi, colour); the state is back at this node whenever
         a child is asked for.  The node may become the incumbent first; it
-        yields its children in clique order and undoes its clique joins
-        after the last one."""
+        yields its children in clique order, and after the last one undoes
+        its clique joins and restores the key index if it synced it.  A
+        cutoff abandons the generator, so that undo is not in a
+        ``finally``: it would run at garbage collection."""
         colors, clique, keys, path = self.colors, self.clique, self.keys, self.path
         if self.num_parts < self.best:
             self._adopt_incumbent()
         if self._pruned():
             return
+        synced = None
         if keys is not None and path and self.num_parts >= _KEYED_PARTS:
-            keys.sync(path)
+            synced = keys.sync(path)
 
         # Isolated vertices, taken lazily in canonical anchor order; ``left``
         # counts those not yet taken.  Each vertex is paired against the
@@ -586,6 +571,8 @@ class _Engine:
             cl.remove(v)
             if len(cl) >= 1:
                 self.bound -= 1
+        if synced is not None:
+            keys.restore(synced)
 
 
 def solve(
