@@ -40,36 +40,30 @@ class KeyIndex:
         self.west = [0] * mn
         self.by_root: dict[int, set[int]] = {}
         self.mark = len(trail)
+        live = []
         a = nxt[mn]
         while a != mn:
-            self._add(a)
+            live.append(a)
             a = nxt[a]
+        self._index(live)
 
-    def _add(self, a: int) -> None:
-        p = self.parent
-        s = 4 * a + S
-        while p[s] != s:
-            s = p[s]
-        w = 4 * a + W
-        while p[w] != w:
-            w = p[w]
-        self.south[a] = s
-        self.west[a] = w
-        self._put(a)
-
-    def _put(self, a: int) -> None:
-        """Index ``a`` under the roots ``south`` and ``west`` hold for it."""
-        s, w = self.south[a], self.west[a]
-        self.owner[s * self.stride + w] = a
-        by_root = self.by_root
-        by_root.setdefault(s, set()).add(a)
-        by_root.setdefault(w, set()).add(a)
-
-    def _drop(self, a: int) -> None:
-        s, w = self.south[a], self.west[a]
-        del self.owner[s * self.stride + w]
-        self.by_root[s].discard(a)
-        self.by_root[w].discard(a)
+    def _index(self, anchors) -> None:
+        """Find the S and W slot roots of each of ``anchors`` and index the
+        anchor under them."""
+        p, south, west = self.parent, self.south, self.west
+        owner, by_root, stride = self.owner, self.by_root, self.stride
+        for a in anchors:
+            s = 4 * a + S
+            while p[s] != s:
+                s = p[s]
+            w = 4 * a + W
+            while p[w] != w:
+                w = p[w]
+            south[a] = s
+            west[a] = w
+            owner[s * stride + w] = a
+            by_root.setdefault(s, set()).add(a)
+            by_root.setdefault(w, set()).add(a)
 
     def probe(self, lo: int, hi: int):
         """The first conflict (canonical order) of the state that merging
@@ -163,15 +157,20 @@ class KeyIndex:
             t = by_root.get(r)
             if t:
                 touched |= t
-        for a in gone:
-            self._drop(a)
-            touched.discard(a)
+        owner, stride = self.owner, self.stride
         south, west = self.south, self.west
+        for a in gone:
+            s, w = south[a], west[a]
+            del owner[s * stride + w]
+            by_root[s].discard(a)
+            by_root[w].discard(a)
+            touched.discard(a)
         saved = [(a, south[a], west[a]) for a in touched]
-        for a in touched:
-            self._drop(a)
-        for a in touched:
-            self._add(a)
+        for a, s, w in saved:
+            del owner[s * stride + w]
+            by_root[s].discard(a)
+            by_root[w].discard(a)
+        self._index(touched)
         self.mark = len(self.trail)
         return mark, saved, gone
 
@@ -182,13 +181,22 @@ class KeyIndex:
         was never rekeyed, so its ``south`` and ``west`` still hold its
         roots."""
         mark, saved, gone = token
-        for a, _, _ in saved:
-            self._drop(a)
+        owner, by_root, stride = self.owner, self.by_root, self.stride
         south, west = self.south, self.west
+        for a, _, _ in saved:
+            s, w = south[a], west[a]
+            del owner[s * stride + w]
+            by_root[s].discard(a)
+            by_root[w].discard(a)
         for a, s, w in saved:
             south[a] = s
             west[a] = w
-            self._put(a)
+            owner[s * stride + w] = a
+            by_root[s].add(a)
+            by_root[w].add(a)
         for a in gone:
-            self._put(a)
+            s, w = south[a], west[a]
+            owner[s * stride + w] = a
+            by_root[s].add(a)
+            by_root[w].add(a)
         self.mark = mark

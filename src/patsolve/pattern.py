@@ -80,9 +80,12 @@ class ColorGrid:
         used = set(self.cells)
         if not all(0 <= c < self.k for c in used):
             raise PatternError("colour index out of range")
-        if used != set(range(self.k)):
-            missing = sorted(set(range(self.k)) - used)
-            raise PatternError(f"colouring is not onto: colour {missing[0]} unused")
+        # every colour is in range, so the colouring is onto when k colours
+        # occur, and otherwise one of the first len(used) + 1 is missing;
+        # nothing here is sized by k, which a header may set to anything
+        if len(used) != self.k:
+            missing = next(c for c in range(len(used) + 1) if c not in used)
+            raise PatternError(f"colouring is not onto: colour {missing} unused")
 
     def color(self, x: int, y: int) -> int:
         return self.cells[cell_index(x, y, self.m)]

@@ -140,6 +140,15 @@ class TestSolve:
         assert code == 1
         assert stderr.startswith("error:") and "expected 2000000000 entries" in stderr
 
+    def test_huge_colour_count_fails_fast(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1 1000000000000\n0\n")
+        t0 = time.perf_counter()
+        code, _, stderr = run(capsys, "solve", "--pattern", str(bad), "--exact")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert stderr == "error: colouring is not onto: colour 1 unused\n"
+
     def test_malformed_pattern_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a pattern\n")

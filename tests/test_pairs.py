@@ -1,0 +1,73 @@
+"""tools/pairs.py: the summary of paired runs, and its exit status."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "merges_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def test_summary_on_fixed_numbers():
+    parent = [{"run_s": p, "merges_per_s": 100.0} for p in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [
+        {"run_s": c, "merges_per_s": m}
+        for c, m in ((0.9, 110.0), (1.8, 90.0), (3.3, 100.0), (3.6, 120.0), (4.5, 130.0))
+    ]
+    run_s, rate = pairs.summarize(METRICS, parent, change)
+    assert (run_s["parent_q1"], run_s["parent_median"], run_s["parent_q3"]) == (2.0, 3.0, 4.0)
+    assert run_s["change_median"] == 3.3
+    assert (run_s["won"], run_s["pairs"]) == (4, 5)
+    assert run_s["ratio_median"] == pytest.approx(0.9)
+    # higher is better here, and a tie is not a win
+    assert (rate["won"], rate["pairs"]) == (3, 5)
+    assert rate["ratio_median"] == pytest.approx(1.1)
+    assert rate["parent_q1"] == rate["parent_q3"] == 100.0
+    table = pairs.format_rows([run_s, rate]).splitlines()
+    assert table[1].split() == ["run_s", "3", "[2", "-", "4]", "3.3", "4/5", "0.9000"]
+
+
+def test_one_pair_has_degenerate_quartiles():
+    (row, _) = pairs.summarize(METRICS, [{"run_s": 2.0, "merges_per_s": 1.0}],
+                               [{"run_s": 1.0, "merges_per_s": 1.0}])
+    assert (row["parent_q1"], row["parent_median"], row["parent_q3"]) == (2.0, 2.0, 2.0)
+    assert (row["won"], row["ratio_median"]) == (1, 0.5)
+
+
+def _checkout(tmp_path, name, correct, run_s):
+    """A directory whose perfbench/run.py prints one fixed result."""
+    metrics = {m["name"]: {"value": run_s, "unit": m["unit"]} for m in pairs.end_to_end_metrics()}
+    bench = tmp_path / name / "perfbench"
+    bench.mkdir(parents=True)
+    result = json.dumps({"correct": correct, "metrics": metrics})
+    (bench / "run.py").write_text(f"import sys\nprint({result!r})\nsys.exit({0 if correct else 1})\n")
+    return bench.parent
+
+
+def test_main_runs_alternating_pairs(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", True, 2.0)
+    change = _checkout(tmp_path, "change", True, 1.0)
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2", "--seconds", "1", "--seed-base", "7"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("pair 0 seed 7 first parent: run_s 2 -> 1")
+    assert out[1].startswith("pair 1 seed 8 first change: ")
+    assert out[2] == "w: 2 pairs of 1 s runs, seeds 7-8"
+    assert out[4].split()[-2:] == ["2/2", "0.5000"]
+
+
+def test_main_exits_one_on_an_incorrect_run(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", True, 2.0)
+    change = _checkout(tmp_path, "change", False, 1.0)
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--seconds", "1", "--seed-base", "0"]
+    assert pairs.main(argv) == 1
+    assert "pair 0 seed 0: change run not correct" in capsys.readouterr().err

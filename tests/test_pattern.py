@@ -58,6 +58,23 @@ class TestColorGrid:
         with pytest.raises(PatternError, match="onto"):
             ColorGrid(2, 2, 3, (0, 1, 1, 0))
 
+    def test_non_onto_names_the_smallest_missing_colour(self):
+        with pytest.raises(PatternError, match="^colouring is not onto: colour 1 unused$"):
+            ColorGrid(2, 2, 4, (0, 2, 3, 0))
+        with pytest.raises(PatternError, match="^colouring is not onto: colour 3 unused$"):
+            ColorGrid(3, 1, 5, (2, 0, 1))
+
+    def test_huge_k_fails_without_allocating(self):
+        # k comes from the header; the onto check must not be sized by it
+        tracemalloc.start()
+        try:
+            with pytest.raises(PatternError, match="^colouring is not onto: colour 1 unused$"):
+                parse_pattern("1 1 1000000000000\n0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_rejects_bad_dims(self):
         with pytest.raises(PatternError):
             ColorGrid(0, 2, 1, ())
