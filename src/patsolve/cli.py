@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from .atam import verify_solution
 from .pattern import (
@@ -38,6 +39,13 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -73,13 +81,11 @@ def _cmd_solve(args) -> int:
             rng_seed=args.seed,
             report_every=args.report_every,
         )
-    events = None
-    if args.events:
-        try:
-            events = open(args.events, "w", encoding="ascii")
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write {args.events}: {exc.strerror}") from None
-    try:
+    # the outputs are opened before the search, so an unwritable path fails
+    # at once instead of after a long solve
+    with ExitStack() as files:
+        events = files.enter_context(_open_out(args.events)) if args.events else None
+        out = files.enter_context(_open_out(args.out)) if args.out not in (None, "-") else None
         progress = None
         if events is not None:
             progress = lambda merges, best: events.write(
@@ -93,11 +99,8 @@ def _cmd_solve(args) -> int:
         if events is not None:
             events.write(final)
         sys.stdout.write(final)
-    finally:
-        if events is not None:
-            events.close()
-    if args.out:
-        _write(args.out, emit_tileset(result.best_system))
+        if args.out:
+            (out or sys.stdout).write(emit_tileset(result.best_system))
     return 0
 
 

@@ -2,12 +2,12 @@
 
 A node is constructible when no two live parts share both their S and
 their W glue class, that is, when every part's key (the union-find roots
-of its anchor's S and W slots) is distinct.  The index holds, for the
-node it was last synced at:
+of its anchor's S and W edge nodes) is distinct.  The index holds, for
+the node it was last synced at:
 
 * ``owner``: key -> the anchor holding it;
-* ``south`` and ``west``: each anchor's S and W slot root, flat per cell;
-* ``by_root``: slot root -> the anchors whose S or W root it is.
+* ``south`` and ``west``: each anchor's S and W edge root, flat per cell;
+* ``by_root``: edge root -> the anchors whose S or W root it is.
 
 Roots change only by linking.  So after merges below the indexed node,
 the parts whose key may have moved are exactly the anchors indexed under
@@ -17,29 +17,37 @@ of a child of the indexed node from the few parts the child's merge
 would touch, without applying the merge: it works out which roots the
 merge would link in a small dict of its own.  ``sync`` moves the index
 down to a constructible descendant in place, finding the linked roots on
-the engine's trail since the index's mark, and returns the old roots of
-the anchors it rekeyed.  ``restore`` moves the index back up from those
-saved roots, so it needs no ``find`` and can run while the engine still
-sits at the descendant, as the node that synced ends.
+the engine's trail since the index's mark and the gone parts on its
+path since the index's depth, and returns the old roots of the anchors
+it rekeyed.  ``restore`` moves the index back up from those saved roots,
+so it needs no ``find`` and can run while the engine still sits at the
+descendant, as the node that synced ends.
+
+The synced node is identified by its path depth, not by the trail's
+length: every merge adds a path record, but a merge of two parts whose
+N, E, S and W classes are all equal links nothing, so the trail would
+take such a descendant for the synced node and miss its gone parts.
 """
 
 from __future__ import annotations
 
-from .mgta import E, N, S, W
-
 
 class KeyIndex:
-    def __init__(self, parent: list[int], trail: list[int], nxt: list[int], mn: int):
-        """Index the live parts of the engine state these lists describe
-        (union-find parents, trail of linked roots, live-anchor list with
-        sentinel ``mn``), which must be constructible."""
-        self.parent, self.trail = parent, trail
-        self.stride = 4 * mn
+    def __init__(self, engine):
+        """Index the live parts of ``engine``'s state, which must be
+        constructible.  The index shares the engine's union-find parents,
+        trail of linked roots, path of merge records and live-anchor list
+        (sentinel ``mn``), and reads its edge-node layout from it."""
+        self.parent, self.trail, self.path = engine.parent, engine.trail, engine.path
+        self.m, self.wbase, self.east = engine.grid.m, engine.wbase, engine.east
+        self.stride = len(engine.parent)
+        nxt, mn = engine.nxt, engine.mn
         self.owner: dict[int, int] = {}
         self.south = [0] * mn
         self.west = [0] * mn
         self.by_root: dict[int, set[int]] = {}
-        self.mark = len(trail)
+        self.mark = len(self.trail)
+        self.depth = len(self.path)
         live = []
         a = nxt[mn]
         while a != mn:
@@ -48,15 +56,15 @@ class KeyIndex:
         self._index(live)
 
     def _index(self, anchors) -> None:
-        """Find the S and W slot roots of each of ``anchors`` and index the
+        """Find the S and W edge roots of each of ``anchors`` and index the
         anchor under them."""
-        p, south, west = self.parent, self.south, self.west
+        p, south, west, wb = self.parent, self.south, self.west, self.wbase
         owner, by_root, stride = self.owner, self.by_root, self.stride
         for a in anchors:
-            s = 4 * a + S
+            s = a
             while p[s] != s:
                 s = p[s]
-            w = 4 * a + W
+            w = wb + a
             while p[w] != w:
                 w = p[w]
             south[a] = s
@@ -83,17 +91,17 @@ class KeyIndex:
         walked in ascending order, so a group's first walked member is its
         smallest touched one, and the walk stops once an anchor reaches
         the second member of the best group found so far."""
-        p, south, west = self.parent, self.south, self.west
-        n0 = 4 * lo + N
+        p, south, west, m, east = self.parent, self.south, self.west, self.m, self.east
+        n0 = lo + m
         while p[n0] != n0:
             n0 = p[n0]
-        n1 = 4 * hi + N
+        n1 = hi + m
         while p[n1] != n1:
             n1 = p[n1]
-        e0 = 4 * lo + E
+        e0 = east[lo]
         while p[e0] != e0:
             e0 = p[e0]
-        e1 = 4 * hi + E
+        e1 = east[hi]
         while p[e1] != e1:
             e1 = p[e1]
         red: dict[int, int] = {}
@@ -137,20 +145,15 @@ class KeyIndex:
             seen[key] = a
         return best
 
-    def sync(self, path) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+    def sync(self) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
         """Move the index down to the current state, which must be
         constructible, and return the token ``restore`` takes to move it
-        back.  ``path`` is the engine's list of merge records (trail mark
-        first, merged-away anchor third) from the root; the records taken
-        since the index's mark name the parts that are gone."""
-        mark = self.mark
-        gone = []
-        for rec in reversed(path):
-            if rec[0] < mark:
-                break
-            gone.append(rec[2])
-        # the anchors indexed under a root linked since the mark (part
-        # nodes on the trail are never index roots)
+        back.  The merge records on the engine's path past the index's
+        depth name the parts that are gone (merged-away anchor third), and
+        the roots on the trail past its mark are the ones linked since."""
+        mark, depth = self.mark, self.depth
+        gone = [rec[2] for rec in self.path[depth:]]
+        # the anchors indexed under a root linked since the mark
         by_root = self.by_root
         touched: set[int] = set()
         for r in self.trail[mark:]:
@@ -172,7 +175,8 @@ class KeyIndex:
             by_root[w].discard(a)
         self._index(touched)
         self.mark = len(self.trail)
-        return mark, saved, gone
+        self.depth = len(self.path)
+        return mark, depth, saved, gone
 
     def restore(self, token) -> None:
         """Undo the sync that returned ``token``, with the engine's trail
@@ -180,7 +184,7 @@ class KeyIndex:
         are put back as they were, so nothing is found again; a gone part
         was never rekeyed, so its ``south`` and ``west`` still hold its
         roots."""
-        mark, saved, gone = token
+        mark, depth, saved, gone = token
         owner, by_root, stride = self.owner, self.by_root, self.stride
         south, west = self.south, self.west
         for a, _, _ in saved:
@@ -200,3 +204,4 @@ class KeyIndex:
             by_root[s].add(a)
             by_root[w].add(a)
         self.mark = mark
+        self.depth = depth

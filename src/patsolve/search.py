@@ -19,15 +19,16 @@ clique sizes: the bound is the sum over colours of max(1, |clique|).
 Children whose bound reaches the incumbent size are pruned.
 
 One engine runs the tree, on mutable state with exact rollback: a
-single union-find over the glue slots and the parts, linked by size
-without path compression so that undo is popping one trail of linked
-roots; a doubly linked list of live parts in canonical order; and
-per-colour clique sets.  The path from the root is an explicit stack
-holding a child generator for each constructible node on it; a
-conflicted node's one merge is applied by the loop itself, and a dead
-forced chain is rewound by undoing merges back to the generator below
-it.  So no recursion limit applies and ``solve`` changes no process
-state.  Equal seeds give equal runs.
+single union-find with one node per grid edge (the glue position its
+two facing cell sides share), linked by size without path compression
+so that undo is popping one trail of linked roots, whose classes are
+the glue classes of the current partition's MGTA; a doubly linked list
+of live parts in canonical order; and per-colour clique sets.  The path
+from the root is an explicit stack holding a child generator for each
+constructible node on it; a conflicted node's one merge is applied by
+the loop itself, and a dead forced chain is rewound by undoing merges
+back to the generator below it.  So no recursion limit applies and
+``solve`` changes no process state.  Equal seeds give equal runs.
 
 A node's first conflict is the first pair of live parts, in canonical
 order, with equal (S-root, W-root) keys.  While a constructible node has
@@ -55,15 +56,16 @@ assignment, and when that record is still on the path (an identity
 test, so undo keeps no extra books) ``coarsen`` unites the old part ids
 of the new merges' anchors.  Otherwise (the root, and incumbents found
 after backtracking) ``_snapshot`` reads the assignment off the engine
-in one pass over the cells: the slot nodes of the union-find already
-are the MGTA of the current partition, so the pass labels each cell by
-first occurrence of its part root (canonical part order) and, at each
-part's first cell, numbers the roots of its N, E, S, W slots by first
-occurrence.  Both give the ``Partition`` and exactly the class ids
-``build_mgta`` would give.  The assignment still goes through
-``extract_tas``, with its constructibility and colour checks, and the
-resulting tile system through the full simulation of
-``verify_solution``, before ``progress`` or ``on_incumbent`` hear of it.
+in one pass over the cells: the union-find's classes already are the
+MGTA of the current partition, so the pass labels each cell by first
+occurrence of its part (canonical part order), taken from the merge
+records on the path, and, at each part's first cell, numbers the roots
+of its N, E, S, W edge nodes by first occurrence.  Both give the
+``Partition`` and exactly the class ids ``build_mgta`` would give.  The
+assignment still goes through ``extract_tas``, with its constructibility
+and colour checks, and the resulting tile system through the full
+simulation of ``verify_solution``, before ``progress`` or
+``on_incumbent`` hear of it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 
 from .atam import verify_solution
 from .keyindex import KeyIndex
-from .mgta import E, N, S, W, GlueAssignment, coarsen, extract_tas
+from .mgta import GlueAssignment, coarsen, extract_tas
 from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
@@ -175,16 +177,16 @@ class _Engine:
 
     Parts are identified by their anchor, the smallest cell they contain;
     the live anchors sit in a doubly linked list in canonical order, so
-    scans see parts in first-occurrence order without sorting.  One
-    union-find holds two kinds of node: the 4*m*n per-cell glue slots
-    (``4*cell + side``) and one part node per cell (``4*m*n + cell``).
-    The adjacency identifications of the slots are installed once at
-    startup; a part merge links the two part nodes and unites the parts'
-    four slot pairs.  Roots are linked by size and finds never compress,
-    so a find walks at most O(log n) links and only a link writes.  Every
-    link a merge makes pushes the linked root on one trail, and undoing
-    the merge pops the trail back to its mark, unlinking each root from
-    its parent.
+    scans see parts in first-occurrence order without sorting.  The
+    union-find has one node per grid edge, 2*m*n + m + n in all, none
+    linked at start: S of cell c is node c and N of c is c + m (the top
+    border is m*n .. m*n + m - 1); W of c is ``wbase + c`` and E of c is
+    ``east[c]``, the W of c + 1 or its row's border node.  The key index
+    reads this layout from the engine.  A merge unites the parts' four
+    node pairs, linking roots by size; finds never compress, so a find
+    walks at most O(log n) links and only a link writes.  Every link
+    goes on one trail, and undoing a merge pops the trail back to its
+    mark, unlinking each root from its parent.
     """
 
     def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
@@ -204,10 +206,12 @@ class _Engine:
         self.use_bound = use_bound
         self.rng = SplitMix64(cfg.rng_seed)
 
-        # glue slots 0 .. 4*mn-1, then part nodes 4*mn .. 5*mn-1
-        self.pbase = 4 * mn
-        self.parent = list(range(5 * mn))
-        self.size = [1] * (5 * mn)
+        # the edge nodes (see the class docstring), each its own root:
+        # horizontal edges, then each row's vertical ones and its E border
+        wb = self.wbase = mn + m
+        self.east = [wb + c + 1 if c % m + 1 < m else wb + mn + c // m for c in range(mn)]
+        self.parent = list(range(wb + mn + grid.n))
+        self.size = [1] * (wb + mn + grid.n)
         self.trail: list[int] = []
 
         # live anchors in ascending order, sentinel at index mn
@@ -227,35 +231,21 @@ class _Engine:
         # a record taken off the path is never pushed again.
         self.last: tuple | None = None
 
-        # adjacency identifications are permanent, so they stay off the
-        # trail.  Each joins two singleton slots (no slot is in two pairs),
-        # linked as a merge would link them.
-        p, sz = self.parent, self.size
-        for c in range(mn):
-            if c % m + 1 < m:
-                p[4 * (c + 1) + W] = 4 * c + E
-                sz[4 * c + E] = 2
-            if c + m < mn:
-                p[4 * (c + m) + S] = 4 * c + N
-                sz[4 * c + N] = 2
-
         self.path: list[tuple] = []  # merge records of the current path
         self.keys = None
         if mn >= _KEYED_PARTS:
-            self.keys = KeyIndex(self.parent, self.trail, self.nxt, mn)
+            self.keys = KeyIndex(self)
 
     # -- merge and undo -----------------------------------------------------
 
     def _apply_merge(self, lo: int, hi: int, col: int):
-        """Unite the parts anchored at lo < hi (same colour col): their part
-        nodes and their four slot pairs, each linked by size onto the
-        trail.  Returns an opaque record for _undo_merge."""
+        """Unite the parts anchored at lo < hi (same colour col): their
+        four edge-node pairs, each linked by size onto the trail.  Returns
+        an opaque record for _undo_merge."""
         p, sz, trail = self.parent, self.size, self.trail
         mark = len(trail)
-        pb, a0, b0 = self.pbase, 4 * lo, 4 * hi
-        for a, b in (
-            (pb + lo, pb + hi), (a0, b0), (a0 + 1, b0 + 1), (a0 + 2, b0 + 2), (a0 + 3, b0 + 3)
-        ):
+        m, wb, east = self.grid.m, self.wbase, self.east
+        for a, b in ((lo + m, hi + m), (east[lo], east[hi]), (lo, hi), (wb + lo, wb + hi)):
             while p[a] != a:
                 a = p[a]
             while p[b] != b:
@@ -302,18 +292,19 @@ class _Engine:
 
     def _find_conflict(self):
         """First pair of live parts (canonical order) sharing both S and W
-        glue classes, or None.  Inlined slot finds keep this hot path flat."""
+        glue classes, or None.  Inlined node finds keep this hot path flat."""
         nxt = self.nxt
         p = self.parent
         mn = self.mn
-        stride = 4 * mn
+        wb = self.wbase
+        stride = len(p)
         seen: dict[int, int] = {}
         a = nxt[mn]
         while a != mn:
-            south = 4 * a + S
+            south = a
             while p[south] != south:
                 south = p[south]
-            west = 4 * a + W
+            west = wb + a
             while p[west] != west:
                 west = p[west]
             key = south * stride + west
@@ -334,42 +325,42 @@ class _Engine:
 
     def _snapshot(self) -> GlueAssignment:
         """The current partition and its MGTA, in one pass over the cells
-        (see the module docstring).  Labels are part roots numbered by
-        first occurrence, so they are the canonical signature; the first
-        cell of a part is its anchor and supplies its slot roots, numbered
-        by first occurrence in N, E, S, W order as ``build_mgta`` does."""
-        p, pbase = self.parent, self.pbase
-        part_ids: dict[int, int] = {}
+        (see the module docstring).  Each merge record on the path links
+        its ``hi`` to a smaller cell of its part, ``lo``, whose label it
+        takes; each anchor takes the next label (the canonical signature)
+        and supplies its part's edge roots, numbered by first occurrence in
+        N, E, S, W order as ``build_mgta`` does."""
+        p, m, wb, east = self.parent, self.grid.m, self.wbase, self.east
+        up = list(range(self.mn))
+        for rec in self.path:
+            up[rec[2]] = rec[1]
         glue_ids: dict[int, int] = {}
         glue_id = glue_ids.setdefault
         labels = []
         quads = []
-        for c in range(self.mn):
-            r = pbase + c
-            while p[r] != r:
-                r = p[r]
-            lab = part_ids.get(r)
-            if lab is None:
-                lab = part_ids[r] = len(part_ids)
-                north = 4 * c + N
-                while p[north] != north:
-                    north = p[north]
-                east = 4 * c + E
-                while p[east] != east:
-                    east = p[east]
-                south = 4 * c + S
-                while p[south] != south:
-                    south = p[south]
-                west = 4 * c + W
-                while p[west] != west:
-                    west = p[west]
-                quads.append((
-                    glue_id(north, len(glue_ids)),
-                    glue_id(east, len(glue_ids)),
-                    glue_id(south, len(glue_ids)),
-                    glue_id(west, len(glue_ids)),
-                ))
-            labels.append(lab)
+        for c, u in enumerate(up):
+            if u != c:
+                labels.append(labels[u])
+                continue
+            labels.append(len(quads))
+            north = c + m
+            while p[north] != north:
+                north = p[north]
+            e = east[c]
+            while p[e] != e:
+                e = p[e]
+            south = c
+            while p[south] != south:
+                south = p[south]
+            west = wb + c
+            while p[west] != west:
+                west = p[west]
+            quads.append((
+                glue_id(north, len(glue_ids)),
+                glue_id(e, len(glue_ids)),
+                glue_id(south, len(glue_ids)),
+                glue_id(west, len(glue_ids)),
+            ))
         part = Partition(self.grid.m, self.grid.n, tuple(labels))
         return GlueAssignment(part, tuple(quads), len(glue_ids))
 
@@ -434,12 +425,12 @@ class _Engine:
         the merges below it are undone, which also rewinds a dead forced
         chain; undo leaves the key index alone, since each synced node
         restores it as it ends.  A child of the node the index is synced
-        at is probed first (``keys.mark`` equals the trail's length only
-        there, since every merge links its part nodes), and made only if
-        its conflict is not fatal or an observer is attached.  A cutoff
+        at is probed first (``keys.depth`` equals the path's length only
+        there, since every merge adds a record to the path), and made only
+        if its conflict is not fatal or an observer is attached.  A cutoff
         abandons the state mid-tree: the engine is not used after it."""
         keys, path, colors, clique = self.keys, self.path, self.colors, self.clique
-        trail, observer = self.trail, self.observer
+        observer = self.observer
         stack: list[tuple] = []
         conflict = self._find_conflict()
         while True:
@@ -478,7 +469,7 @@ class _Engine:
                 if self.merges >= self.cutoff:
                     return False
                 lo, hi, col = move
-                probed = keys is not None and keys.mark == len(trail)
+                probed = keys is not None and keys.depth == len(path)
                 if not probed:
                     break
                 conflict = keys.probe(lo, hi)
@@ -529,7 +520,7 @@ class _Engine:
             return
         synced = None
         if keys is not None and path and self.num_parts >= _KEYED_PARTS:
-            synced = keys.sync(path)
+            synced = keys.sync()
 
         # Isolated vertices, taken lazily in canonical anchor order; ``left``
         # counts those not yet taken.  Each vertex is paired against the

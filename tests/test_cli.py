@@ -133,6 +133,30 @@ class TestSolve:
         assert "--cutoff" in stderr and "must be at least 0" in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("target", ["dir", "missing/tiles.txt"])
+    def test_unwritable_out_fails_before_solving(self, tmp_path, capsys, target):
+        pat = tmp_path / "pat.txt"
+        run(capsys, "generate", "--type", "sierpinski", "--m", "3", "--n", "3",
+            "--out", str(pat))
+        (tmp_path / "dir").mkdir()
+        with mock.patch("patsolve.cli.solve", side_effect=AssertionError("solve called")):
+            code, stdout, stderr = run(
+                capsys, "solve", "--pattern", str(pat), "--exact",
+                "--out", str(tmp_path / target),
+            )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: cannot write {tmp_path / target}:")
+
+    def test_out_dash_writes_stdout(self, tmp_path, capsys):
+        pat = tmp_path / "pat.txt"
+        run(capsys, "generate", "--type", "sierpinski", "--m", "3", "--n", "3",
+            "--out", str(pat))
+        code, stdout, _ = run(capsys, "solve", "--pattern", str(pat), "--exact", "--out", "-")
+        assert code == 0
+        result, tiles = stdout.split("\n", 1)
+        assert result.startswith("result best=3 ")
+        assert verify_solution(parse_tileset(tiles), gen_sierpinski(3, 3)).ok
+
     def test_huge_header_short_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2000000000 1 2\n0 1\n")

@@ -71,3 +71,49 @@ def test_main_exits_one_on_an_incorrect_run(tmp_path, capsys):
     argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--seconds", "1", "--seed-base", "0"]
     assert pairs.main(argv) == 1
     assert "pair 0 seed 0: change run not correct" in capsys.readouterr().err
+
+
+def test_json_records_the_runs_and_the_summary(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", True, 2.0)
+    change = _checkout(tmp_path, "change", True, 1.0)
+    path = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2", "--seconds", "1",
+            "--seed-base", "7", "--json", str(path)]
+    assert pairs.main(argv) == 0
+    record = json.loads(path.read_text())
+    assert record["command"] == ["python3", "tools/pairs.py", *argv]
+    assert (record["workload"], record["seconds"], record["seeds"]) == ("w", 1.0, [7, 8])
+    assert [(p["seed"], p["first"]) for p in record["pairs"]] == [(7, "parent"), (8, "change")]
+    names = [m["name"] for m in pairs.end_to_end_metrics()]
+    for p in record["pairs"]:
+        assert p["parent"] == dict.fromkeys(names, 2.0)
+        assert p["change"] == dict.fromkeys(names, 1.0)
+    assert [r["name"] for r in record["summary"]] == names
+    assert record["summary"][0]["ratio_median"] == 0.5
+    assert record["incorrect_runs"] == 0
+
+
+def test_json_keeps_an_incorrect_run(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", True, 2.0)
+    change = _checkout(tmp_path, "change", False, 1.0)
+    path = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--seconds", "1",
+            "--seed-base", "0", "--json", str(path)]
+    assert pairs.main(argv) == 1
+    record = json.loads(path.read_text())
+    assert record["pairs"][0]["change"] is None
+    assert (record["incorrect_runs"], record["summary"]) == (1, [])
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/bench.json"])
+def test_unwritable_json_fails_before_any_run(tmp_path, capsys, target):
+    # neither checkout exists, so reaching a run would raise instead
+    (tmp_path / "dir").mkdir()
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "w", "--pairs", "1",
+            "--seconds", "1", "--seed-base", "0", "--json", str(tmp_path / target)]
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert "pair 0" not in captured.out + captured.err

@@ -32,7 +32,7 @@ from patsolve import (
     verify_solution,
 )
 from patsolve.keyindex import KeyIndex
-from patsolve.mgta import S, W
+from patsolve.mgta import E, N, S, W
 from helpers import onto_colorings, small_grids
 
 
@@ -560,13 +560,24 @@ def test_engine_attributes_fit_the_specialized_layout():
     assert len(vars(engine)) <= 29, sorted(vars(engine))
 
 
-def test_engine_starts_with_an_empty_trail():
-    # the adjacency identifications are permanent, so the trail holds only
-    # links that undo pops
+@pytest.mark.parametrize("m, n", [(1, 6), (6, 1), (4, 4)])
+def test_engine_starts_with_every_node_its_own_root(m, n):
+    # one node per grid edge, 2mn+m+n in all, none linked before a merge:
+    # undo pops every link, and no identification is installed at start
     engine = search_module._Engine(
-        gen_sierpinski(5, 5), SolveConfig.exact(), None, None, None, True
+        ColorGrid(m, n, 1, (0,) * (m * n)), SolveConfig.exact(), None, None, None, True
     )
+    assert engine.parent == list(range(2 * m * n + m + n))
     assert engine.trail == []
+    # every side of every cell is a node, and two sides share one exactly
+    # when they face each other across a grid edge
+    sides = {(c, side): edge_node(engine, c, side) for c in range(m * n) for side in range(4)}
+    assert set(sides.values()) == set(engine.parent)
+    for c in range(m * n):
+        if c % m + 1 < m:
+            assert sides[c, E] == sides[c + 1, W]
+        if c + m < m * n:
+            assert sides[c, N] == sides[c + m, S]
 
 
 def stack_depth() -> int:
@@ -618,21 +629,30 @@ class TestProcessState:
 
 
 def index_state(idx):
-    """What a key index says about the live parts: its mark, keys, roots
-    of each indexed anchor and the non-empty root-to-anchor sets."""
+    """What a key index says about the live parts: its mark and depth,
+    keys, roots of each indexed anchor and the non-empty root-to-anchor
+    sets."""
     live = sorted(idx.owner.values())
     return (
         idx.mark,
+        idx.depth,
         idx.owner,
         [(a, idx.south[a], idx.west[a]) for a in live],
         {r: anchors for r, anchors in idx.by_root.items() if anchors},
     )
 
 
-def scan_conflict(parent, nxt, mn):
+def edge_node(engine, c, side):
+    """The union-find node of side ``side`` of cell ``c`` in ``engine``."""
+    return {
+        N: c + engine.grid.m, E: engine.east[c], S: c, W: engine.wbase + c,
+    }[side]
+
+
+def scan_conflict(engine, parent, nxt):
     """The first pair of live parts, in canonical order, whose anchors'
-    S and W slots have equal roots: a plain scan of the live list of the
-    engine state these lists describe (sentinel ``mn``)."""
+    S and W nodes have equal roots: a plain scan of the live list of the
+    engine state these lists describe, in ``engine``'s node layout."""
 
     def find(x):
         while parent[x] != x:
@@ -640,13 +660,11 @@ def scan_conflict(parent, nxt, mn):
         return x
 
     seen = {}
-    a = nxt[mn]
-    while a != mn:
-        key = (find(4 * a + S), find(4 * a + W))
+    for a in live_anchors(nxt, engine.mn):
+        key = (find(edge_node(engine, a, S)), find(edge_node(engine, a, W)))
         if key in seen:
             return seen[key], a
         seen[key] = a
-        a = nxt[a]
     return None
 
 
@@ -660,12 +678,12 @@ def live_anchors(nxt, mn):
     return live
 
 
-def merged_lists(parent, nxt, mn, lo, hi):
-    """Copies of ``parent`` and ``nxt`` (sentinel ``mn``) describing the
-    state one merge of the parts anchored at ``lo < hi`` away: the two
-    parts' N, E, S and W slot pairs united (roots linked in any
-    direction), and ``hi`` unlinked from the live list."""
-    parent, nxt = list(parent), list(nxt)
+def merged_lists(engine, lo, hi):
+    """Copies of ``engine``'s parents and live list describing the state
+    one merge of the parts anchored at ``lo < hi`` away: the two parts'
+    N, E, S and W nodes united (roots linked in any direction), and
+    ``hi`` unlinked from the live list."""
+    parent, nxt = list(engine.parent), list(engine.nxt)
 
     def find(x):
         while parent[x] != x:
@@ -673,10 +691,10 @@ def merged_lists(parent, nxt, mn, lo, hi):
         return x
 
     for side in range(4):
-        a, b = find(4 * lo + side), find(4 * hi + side)
+        a, b = find(edge_node(engine, lo, side)), find(edge_node(engine, hi, side))
         if a != b:
             parent[b] = a
-    a = mn
+    a = engine.mn
     while nxt[a] != hi:
         a = nxt[a]
     nxt[a] = nxt[hi]
@@ -693,14 +711,14 @@ def solve_with_checked_index(grid, cfg, keyed_parts=None):
     counts = {"build": 0, "probe": 0, "sync": 0, "restore": 0, "restored": 0}
 
     class CheckedIndex(KeyIndex):
-        def __init__(self, parent, trail, nxt, mn):
-            super().__init__(parent, trail, nxt, mn)
-            self.lists = (parent, trail, nxt, mn)
+        def __init__(self, engine):
+            super().__init__(engine)
+            self.engine = engine
             self.restored = False
             counts["build"] += 1
 
         def check(self, kind):
-            assert index_state(self) == index_state(KeyIndex(*self.lists))
+            assert index_state(self) == index_state(KeyIndex(self.engine))
             counts[kind] += 1
 
         def probe(self, lo, hi):
@@ -708,13 +726,12 @@ def solve_with_checked_index(grid, cfg, keyed_parts=None):
                 self.check("restored")
                 self.restored = False
             got = super().probe(lo, hi)
-            parent, _, nxt, mn = self.lists
-            assert got == scan_conflict(*merged_lists(parent, nxt, mn, lo, hi), mn)
+            assert got == scan_conflict(self.engine, *merged_lists(self.engine, lo, hi))
             counts["probe"] += 1
             return got
 
-        def sync(self, path):
-            token = super().sync(path)
+        def sync(self):
+            token = super().sync()
             self.check("sync")
             return token
 
@@ -782,6 +799,30 @@ class TestKeyIndex:
             reference.trace, reference.merges_performed,
         )
 
+    @pytest.mark.parametrize(
+        "make_grid, seed",
+        [(lambda: gen_random(4, 5, 2, 2), 0), (lambda: gen_binary_counter(7, 7), 1)],
+        ids=["random4x5", "counter7"],
+    )
+    def test_merges_that_link_nothing(self, make_grid, seed):
+        # a forced merge of two parts whose N, E, S and W classes are all
+        # equal already links no node, so the trail does not grow with every
+        # merge; the index must tell the node it is synced at by the path
+        # (in both solves, counting gone parts by trail mark fails a sync)
+        real_apply = search_module._Engine._apply_merge
+        idle = [0]
+
+        def counted_apply(engine, lo, hi, col):
+            rec = real_apply(engine, lo, hi, col)
+            idle[0] += rec[0] == len(engine.trail)
+            return rec
+
+        cfg = SolveConfig.anytime(2 * 10**4, seed=seed)
+        with mock.patch.object(search_module._Engine, "_apply_merge", counted_apply):
+            result, counts = solve_with_checked_index(make_grid(), cfg, keyed_parts=1)
+        assert idle[0] and counts["sync"] and counts["restored"], (idle, counts)
+        assert result.trace == solve(make_grid(), cfg).trace
+
     def test_small_grids_never_build_it(self):
         # at the default threshold grids this small keep the plain scan
         # (exact_random's grids are 4x4 and 5x5)
@@ -802,16 +843,16 @@ class TestKeyIndex:
         # give, for every pair of live parts whatever their colours, the
         # first conflict of the state merging them would make
         engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
-        parent, nxt, mn = engine.parent, engine.nxt, engine.mn
+        nxt, mn = engine.nxt, engine.mn
         for i, j in picks:
             live = live_anchors(nxt, mn)
             lo, hi = sorted((live[i % len(live)], live[j % len(live)]))
             while lo != hi:
                 engine._apply_merge(lo, hi, engine.colors[lo])
                 lo, hi = engine._find_conflict() or (0, 0)
-        index = KeyIndex(parent, engine.trail, nxt, mn)
+        index = KeyIndex(engine)
         for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
-            expected = scan_conflict(*merged_lists(parent, nxt, mn, lo, hi), mn)
+            expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
             assert index.probe(lo, hi) == expected, (lo, hi)
 
     @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
@@ -829,10 +870,10 @@ class TestKeyIndex:
 
             def counted_apply(engine, lo, hi, col):
                 keys = engine.keys
-                synced = keys is not None and keys.mark == len(engine.trail)
+                synced = keys is not None and keys.depth == len(engine.path)
                 rec = real_apply(engine, lo, hi, col)
                 applies[0] += 1
-                conflict = synced and scan_conflict(engine.parent, engine.nxt, engine.mn)
+                conflict = synced and scan_conflict(engine, engine.parent, engine.nxt)
                 if conflict:
                     p1, p2 = conflict
                     c = engine.colors[p1]

@@ -1,6 +1,6 @@
 """Paired benchmark runs of two checkouts, summarised per end-to-end metric.
 
-    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S --seed-base B
+    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S --seed-base B [--json PATH]
 
 Pair i runs ``perfbench/run.py --workload W --seed B+i --seconds S
 --trace 0`` once in each checkout, one right after the other: the parent
@@ -12,9 +12,12 @@ that a later run would load instead of compiling.
 For each end-to-end metric of ``BENCHMARK.json`` the summary gives the
 parent's median with its quartiles, the change's median, the pairs the
 change won (strictly better, in the metric's ``better`` direction) and
-the median of the per-pair ratios change/parent.  Exit status is 1 when
-any run was not correct (it exited nonzero or reported
-``"correct": false``), 2 on a usage error, and 0 otherwise.
+the median of the per-pair ratios change/parent.  ``--json PATH`` also
+writes the command line, workload, run length, seeds, each pair's metric
+values and the summary rows to PATH, as the record of a speed claim; the
+file is opened before the first run, so an unwritable PATH fails at
+once.  Exit status is 1 when any run was not correct (it exited nonzero
+or reported ``"correct": false``), 2 on a usage error, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ def format_rows(rows: list[dict]) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
@@ -102,34 +106,58 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed-base", type=int, required=True)
+    ap.add_argument("--json", type=Path, help="write the runs and the summary here")
     args = ap.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         ap.error("--pairs and --seconds must be positive")
-    metrics = end_to_end_metrics()
-    parent, change = [], []
-    incorrect = 0
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        sides = [("parent", args.parent), ("change", args.change)]
-        if i % 2:
-            sides.reverse()
-        got = {}
-        for label, checkout in sides:
-            got[label] = run_once(checkout, args.workload, seed, args.seconds)
-            if got[label] is None:
-                print(f"pair {i} seed {seed}: {label} run not correct", file=sys.stderr)
-                incorrect += 1
-        if None in got.values():
-            continue
-        parent.append(got["parent"])
-        change.append(got["change"])
-        print(f"pair {i} seed {seed} first {sides[0][0]}: " + ", ".join(
-            f"{m['name']} {got['parent'][m['name']]:.6g} -> {got['change'][m['name']]:.6g}"
-            for m in metrics), flush=True)
-    if parent:
-        print(f"{args.workload}: {len(parent)} pairs of {args.seconds:g} s runs, "
-              f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")
-        print(format_rows(summarize(metrics, parent, change)))
+    out = None
+    if args.json is not None:
+        try:
+            out = open(args.json, "w", encoding="utf-8")
+        except OSError as exc:
+            ap.error(f"cannot write {args.json}: {exc.strerror}")
+    try:
+        metrics = end_to_end_metrics()
+        parent, change, records = [], [], []
+        incorrect = 0
+        for i in range(args.pairs):
+            seed = args.seed_base + i
+            sides = [("parent", args.parent), ("change", args.change)]
+            if i % 2:
+                sides.reverse()
+            got = {}
+            for label, checkout in sides:
+                got[label] = run_once(checkout, args.workload, seed, args.seconds)
+                if got[label] is None:
+                    print(f"pair {i} seed {seed}: {label} run not correct", file=sys.stderr)
+                    incorrect += 1
+            records.append({"seed": seed, "first": sides[0][0], **got})
+            if None in got.values():
+                continue
+            parent.append(got["parent"])
+            change.append(got["change"])
+            print(f"pair {i} seed {seed} first {sides[0][0]}: " + ", ".join(
+                f"{m['name']} {got['parent'][m['name']]:.6g} -> {got['change'][m['name']]:.6g}"
+                for m in metrics), flush=True)
+        rows = summarize(metrics, parent, change) if parent else []
+        if parent:
+            print(f"{args.workload}: {len(parent)} pairs of {args.seconds:g} s runs, "
+                  f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")
+            print(format_rows(rows))
+        if out is not None:
+            json.dump({
+                "command": ["python3", "tools/pairs.py", *argv],
+                "workload": args.workload,
+                "seconds": args.seconds,
+                "seeds": [r["seed"] for r in records],
+                "incorrect_runs": incorrect,
+                "pairs": records,
+                "summary": rows,
+            }, out, indent=1)
+            out.write("\n")
+    finally:
+        if out is not None:
+            out.close()
     return 1 if incorrect else 0
 
 
