@@ -52,11 +52,8 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _cmd_generate(args) -> int:

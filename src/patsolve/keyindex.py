@@ -16,17 +16,16 @@ keys are still distinct.  ``probe`` uses that to find the first conflict
 of a child of the indexed node from the few parts the child's merge
 would touch, without applying the merge: it works out which roots the
 merge would link in a small dict of its own.  ``sync`` moves the index
-down to a constructible descendant in place, finding the linked roots on
-the engine's trail since the index's mark and the gone parts on its
-path since the index's depth, and returns the old roots of the anchors
-it rekeyed.  ``restore`` moves the index back up from those saved roots,
+down to a constructible descendant in place, reading the merges since
+the indexed node off the engine's path past the index's depth: their
+records name the gone parts, and the first one's trail mark starts the
+roots linked since.  It returns the old roots of the anchors it
+rekeyed.  ``restore`` moves the index back up from those saved roots,
 so it needs no ``find`` and can run while the engine still sits at the
 descendant, as the node that synced ends.
 
-The synced node is identified by its path depth, not by the trail's
-length: every merge adds a path record, but a merge of two parts whose
-N, E, S and W classes are all equal links nothing, so the trail would
-take such a descendant for the synced node and miss its gone parts.
+The indexed node is named by its depth alone, as a merge can link
+nothing but always adds a path record.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class KeyIndex:
         self.south = [0] * mn
         self.west = [0] * mn
         self.by_root: dict[int, set[int]] = {}
-        self.mark = len(self.trail)
         self.depth = len(self.path)
         live = []
         a = nxt[mn]
@@ -145,18 +143,20 @@ class KeyIndex:
             seen[key] = a
         return best
 
-    def sync(self) -> tuple[int, int, list[tuple[int, int, int]], list[int]]:
+    def sync(self) -> tuple[int, list[tuple[int, int, int]], list[int]]:
         """Move the index down to the current state, which must be
-        constructible, and return the token ``restore`` takes to move it
-        back.  The merge records on the engine's path past the index's
-        depth name the parts that are gone (merged-away anchor third), and
-        the roots on the trail past its mark are the ones linked since."""
-        mark, depth = self.mark, self.depth
-        gone = [rec[2] for rec in self.path[depth:]]
-        # the anchors indexed under a root linked since the mark
+        constructible and strictly below the indexed node, and return the
+        token ``restore`` takes to move it back.  The merge records on the
+        engine's path past the index's depth name the parts that are gone
+        (merged-away anchor third), and the roots on the trail from the
+        first one's mark (its first field) on are the ones linked since."""
+        depth = self.depth
+        since = self.path[depth:]
+        gone = [rec[2] for rec in since]
+        # the anchors indexed under a root linked since the indexed node
         by_root = self.by_root
         touched: set[int] = set()
-        for r in self.trail[mark:]:
+        for r in self.trail[since[0][0]:]:
             t = by_root.get(r)
             if t:
                 touched |= t
@@ -174,9 +174,8 @@ class KeyIndex:
             by_root[s].discard(a)
             by_root[w].discard(a)
         self._index(touched)
-        self.mark = len(self.trail)
         self.depth = len(self.path)
-        return mark, depth, saved, gone
+        return depth, saved, gone
 
     def restore(self, token) -> None:
         """Undo the sync that returned ``token``, with the engine's trail
@@ -184,7 +183,7 @@ class KeyIndex:
         are put back as they were, so nothing is found again; a gone part
         was never rekeyed, so its ``south`` and ``west`` still hold its
         roots."""
-        mark, depth, saved, gone = token
+        depth, saved, gone = token
         owner, by_root, stride = self.owner, self.by_root, self.stride
         south, west = self.south, self.west
         for a, _, _ in saved:
@@ -203,5 +202,4 @@ class KeyIndex:
             owner[s * stride + w] = a
             by_root[s].add(a)
             by_root[w].add(a)
-        self.mark = mark
         self.depth = depth

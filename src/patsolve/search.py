@@ -51,11 +51,11 @@ rest of the walk; the random draws are the same either way.
 Adopting an incumbent rebuilds nothing.  Most incumbents lie below the
 last one on the same path, a merge or a few deeper, so their MGTA is
 that of the last incumbent coarsened by the merges since: the engine
-keeps the last incumbent's path length, last merge record and glue
-assignment, and when that record is still on the path (an identity
-test, so undo keeps no extra books) ``coarsen`` unites the old part ids
-of the new merges' anchors.  Otherwise (the root, and incumbents found
-after backtracking) ``_snapshot`` reads the assignment off the engine
+keeps the last incumbent's last merge record and glue assignment, and
+when that record is still on the path at the incumbent's depth (an
+identity test, so undo keeps no extra books) ``coarsen`` unites the old
+part ids of the new merges' anchors.  Otherwise (the root, and incumbents
+found after backtracking) ``_snapshot`` reads the assignment off the engine
 in one pass over the cells: the union-find's classes already are the
 MGTA of the current partition, so the pass labels each cell by first
 occurrence of its part (canonical part order), taken from the merge
@@ -187,6 +187,9 @@ class _Engine:
     walks at most O(log n) links and only a link writes.  Every link
     goes on one trail, and undoing a merge pops the trail back to its
     mark, unlinking each root from its parent.
+
+    The path of merge records is the one record of the descent: each
+    merge takes one part away, so a node d merges deep has m*n - d parts.
     """
 
     def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
@@ -197,7 +200,6 @@ class _Engine:
         self.grid = grid
         m = grid.m
         mn = self.mn = m * grid.n
-        self.colors = list(grid.cells)
         self.cutoff = (1 << 62) if cfg.cutoff_merges is None else cfg.cutoff_merges
         self.report_every = cfg.report_every
         self.progress = progress
@@ -217,7 +219,6 @@ class _Engine:
         # live anchors in ascending order, sentinel at index mn
         self.nxt = list(range(1, mn + 1)) + [0]
         self.prv = [mn] + list(range(mn))
-        self.num_parts = mn
 
         self.clique: list[set[int]] = [set() for _ in range(grid.k)]
         self.bound = grid.k
@@ -226,9 +227,9 @@ class _Engine:
         self.best = mn + 1
         self.best_system: TileSystem | None = None
         self.trace: list[tuple[int, int]] = []
-        # the last, so the best, incumbent: (path length, last merge record
-        # or None, MGTA).  Holding the record keeps its identity unique, and
-        # a record taken off the path is never pushed again.
+        # the last, so the best, incumbent: (last merge record or None,
+        # MGTA).  Holding the record keeps its identity unique, and a record
+        # taken off the path is never pushed again.
         self.last: tuple | None = None
 
         self.path: list[tuple] = []  # merge records of the current path
@@ -260,25 +261,22 @@ class _Engine:
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = nxt[hi]
         prv[nxt[hi]] = prv[hi]
-        self.num_parts -= 1
 
+        # lo and hi are never both in the clique: the search merges no
+        # excluded pair, and a child pairs an isolated vertex with a member
         cl = self.clique[col]
-        removed_hi = hi in cl
-        if removed_hi:
+        swapped = hi in cl
+        if swapped:
             cl.remove(hi)
-        added_lo = removed_hi and lo not in cl
-        if added_lo:
             cl.add(lo)
-        return (mark, lo, hi, col, removed_hi, added_lo)
+        return (mark, lo, hi, col, swapped)
 
     def _undo_merge(self, rec) -> None:
-        mark, lo, hi, col, removed_hi, added_lo = rec
-        cl = self.clique[col]
-        if added_lo:
+        mark, lo, hi, col, swapped = rec
+        if swapped:
+            cl = self.clique[col]
             cl.remove(lo)
-        if removed_hi:
             cl.add(hi)
-        self.num_parts += 1
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = hi
         prv[nxt[hi]] = hi
@@ -375,7 +373,7 @@ class _Engine:
                 signature=labels,
                 part_anchors=tuple(anchors[lab] for lab in labels),
                 cliques=tuple(frozenset(s) for s in self.clique),
-                num_parts=self.num_parts,
+                num_parts=len(anchors),
                 bound=self.bound,
                 constructible=constructible,
                 merges=self.merges,
@@ -383,17 +381,20 @@ class _Engine:
         )
 
     def _adopt_incumbent(self) -> None:
+        """Adopt the current node, of fewer parts than ``best``, as the
+        incumbent.  The last one, of ``best`` parts, sat m*n - best merges
+        deep."""
         path, last = self.path, self.last
-        if last is not None and (not last[0] or path[last[0] - 1] is last[1]):
-            # below the last incumbent, whose path is still a prefix of
-            # ours (longer: every merge on a path takes one part away)
-            depth, _, glues = last
+        depth = self.mn - self.best
+        if last is not None and (not depth or path[depth - 1] is last[0]):
+            # below the last incumbent, whose path is still a prefix of ours
+            glues = last[1]
             labels = glues.partition.labels
             glues = coarsen(glues, [(labels[r[1]], labels[r[2]]) for r in path[depth:]])
         else:
             glues = self._snapshot()
         part = glues.partition
-        assert part.num_parts == self.num_parts
+        assert part.num_parts == self.mn - len(path)
         system = extract_tas(glues, self.grid)
         report = verify_solution(system, self.grid)
         if not report.ok:
@@ -403,7 +404,7 @@ class _Engine:
             )
         self.best = part.num_parts
         self.best_system = system
-        self.last = (len(path), path[-1] if path else None, glues)
+        self.last = (path[-1] if path else None, glues)
         self.trace.append((self.merges, self.best))
         if self.on_incumbent is not None:
             self.on_incumbent(self.merges, self.best, system, part)
@@ -420,16 +421,16 @@ class _Engine:
         conflicting pair, is applied at once, and when the pair crosses
         colours or was already excluded the node dies.  ``stack`` holds,
         per constructible node on the current path, its child generator
-        and the length ``path`` had there; ``path`` holds the merge records
-        of the path's edges.  Before a node is asked for its next child,
-        the merges below it are undone, which also rewinds a dead forced
-        chain; undo leaves the key index alone, since each synced node
-        restores it as it ends.  A child of the node the index is synced
-        at is probed first (``keys.depth`` equals the path's length only
-        there, since every merge adds a record to the path), and made only
-        if its conflict is not fatal or an observer is attached.  A cutoff
-        abandons the state mid-tree: the engine is not used after it."""
-        keys, path, colors, clique = self.keys, self.path, self.colors, self.clique
+        and its depth; ``path`` holds the merge records of the path's
+        edges, one per merge, so its length is the depth.  Before a node
+        is asked for its next child, the merges below it are undone, which
+        also rewinds a dead forced chain; undo leaves the key index alone,
+        since each synced node restores it as it ends.  A child of the node
+        the index is synced at is probed first (``keys.depth`` equals the
+        depth only there), and made only if its conflict is not fatal or
+        an observer is attached.  A cutoff abandons the state mid-tree: the
+        engine is not used after it."""
+        keys, path, colors, clique = self.keys, self.path, self.grid.cells, self.clique
         observer = self.observer
         stack: list[tuple] = []
         conflict = self._find_conflict()
@@ -498,7 +499,7 @@ class _Engine:
     def _isolated(self):
         """The live anchors outside their colour's clique from here on, in
         canonical order (the order of the live list), tested as reached."""
-        nxt, mn, colors, clique = self.nxt, self.mn, self.colors, self.clique
+        nxt, mn, colors, clique = self.nxt, self.mn, self.grid.cells, self.clique
         a = nxt[mn]
         while a != mn:
             if a not in clique[colors[a]]:
@@ -513,13 +514,14 @@ class _Engine:
         its clique joins and restores the key index if it synced it.  A
         cutoff abandons the generator, so that undo is not in a
         ``finally``: it would run at garbage collection."""
-        colors, clique, keys, path = self.colors, self.clique, self.keys, self.path
-        if self.num_parts < self.best:
+        colors, clique, keys, path = self.grid.cells, self.clique, self.keys, self.path
+        num_parts = self.mn - len(path)
+        if num_parts < self.best:
             self._adopt_incumbent()
         if self._pruned():
             return
         synced = None
-        if keys is not None and path and self.num_parts >= _KEYED_PARTS:
+        if keys is not None and path and num_parts >= _KEYED_PARTS:
             synced = keys.sync()
 
         # Isolated vertices, taken lazily in canonical anchor order; ``left``
@@ -530,7 +532,7 @@ class _Engine:
         # productive.  One pick in _DEVIATION departs from that order (the
         # rest of the walk is listed for it); together with the member
         # shuffle below this is the randomization between same-config runs.
-        left = self.num_parts - sum(map(len, clique))
+        left = num_parts - sum(map(len, clique))
         rest = self._isolated()
         joins: list[tuple[int, int]] = []
         stop = False
@@ -599,7 +601,7 @@ def solve(
     return SolveResult(
         best_size=engine.best,
         best_system=engine.best_system,
-        best_partition=engine.last[2].partition,
+        best_partition=engine.last[1].partition,
         proven_optimal=proven,
         merges_performed=engine.merges,
         trace=tuple(engine.trace),

@@ -71,6 +71,14 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert stderr.startswith("error:") and "MAX_CELLS" in stderr
 
+    def test_unwritable_out_fails(self, tmp_path, capsys):
+        code, stdout, stderr = run(
+            capsys, "generate", "--type", "sierpinski", "--m", "4", "--n", "4",
+            "--out", str(tmp_path),
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: cannot write {tmp_path}")
+
 
 class TestSolve:
     def test_exact_run_writes_everything(self, tmp_path, capsys):

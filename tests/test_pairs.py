@@ -56,19 +56,21 @@ def _checkout(tmp_path, name, correct, run_s):
 def test_main_runs_alternating_pairs(tmp_path, capsys):
     parent = _checkout(tmp_path, "parent", True, 2.0)
     change = _checkout(tmp_path, "change", True, 1.0)
-    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2", "--seconds", "1", "--seed-base", "7"]
+    argv = [str(parent), str(change), "--workload", "random16", "--pairs", "2",
+            "--seconds", "1", "--seed-base", "7"]
     assert pairs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("pair 0 seed 7 first parent: run_s 2 -> 1")
     assert out[1].startswith("pair 1 seed 8 first change: ")
-    assert out[2] == "w: 2 pairs of 1 s runs, seeds 7-8"
+    assert out[2] == "random16: 2 pairs of 1 s runs, seeds 7-8"
     assert out[4].split()[-2:] == ["2/2", "0.5000"]
 
 
 def test_main_exits_one_on_an_incorrect_run(tmp_path, capsys):
     parent = _checkout(tmp_path, "parent", True, 2.0)
     change = _checkout(tmp_path, "change", False, 1.0)
-    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--seconds", "1", "--seed-base", "0"]
+    argv = [str(parent), str(change), "--workload", "random16", "--pairs", "1",
+            "--seconds", "1", "--seed-base", "0"]
     assert pairs.main(argv) == 1
     assert "pair 0 seed 0: change run not correct" in capsys.readouterr().err
 
@@ -77,12 +79,12 @@ def test_json_records_the_runs_and_the_summary(tmp_path, capsys):
     parent = _checkout(tmp_path, "parent", True, 2.0)
     change = _checkout(tmp_path, "change", True, 1.0)
     path = tmp_path / "bench.json"
-    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2", "--seconds", "1",
+    argv = [str(parent), str(change), "--workload", "random16", "--pairs", "2", "--seconds", "1",
             "--seed-base", "7", "--json", str(path)]
     assert pairs.main(argv) == 0
     record = json.loads(path.read_text())
     assert record["command"] == ["python3", "tools/pairs.py", *argv]
-    assert (record["workload"], record["seconds"], record["seeds"]) == ("w", 1.0, [7, 8])
+    assert (record["workload"], record["seconds"], record["seeds"]) == ("random16", 1.0, [7, 8])
     assert [(p["seed"], p["first"]) for p in record["pairs"]] == [(7, "parent"), (8, "change")]
     names = [m["name"] for m in pairs.end_to_end_metrics()]
     for p in record["pairs"]:
@@ -97,7 +99,7 @@ def test_json_keeps_an_incorrect_run(tmp_path, capsys):
     parent = _checkout(tmp_path, "parent", True, 2.0)
     change = _checkout(tmp_path, "change", False, 1.0)
     path = tmp_path / "bench.json"
-    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--seconds", "1",
+    argv = [str(parent), str(change), "--workload", "random16", "--pairs", "1", "--seconds", "1",
             "--seed-base", "0", "--json", str(path)]
     assert pairs.main(argv) == 1
     record = json.loads(path.read_text())
@@ -109,11 +111,25 @@ def test_json_keeps_an_incorrect_run(tmp_path, capsys):
 def test_unwritable_json_fails_before_any_run(tmp_path, capsys, target):
     # neither checkout exists, so reaching a run would raise instead
     (tmp_path / "dir").mkdir()
-    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "w", "--pairs", "1",
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "random16", "--pairs", "1",
             "--seconds", "1", "--seed-base", "0", "--json", str(tmp_path / target)]
     with pytest.raises(SystemExit) as exc:
         pairs.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "cannot write" in captured.err
+    assert "pair 0" not in captured.out + captured.err
+
+
+def test_unknown_workload_fails_before_any_run(tmp_path, capsys):
+    # the names come from BENCHMARK.json; neither checkout exists, so
+    # reaching a run would raise instead
+    assert "random16" in pairs.workload_names()
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "nosuch", "--pairs", "2",
+            "--seconds", "1", "--seed-base", "0"]
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'nosuch'" in captured.err
     assert "pair 0" not in captured.out + captured.err

@@ -16,8 +16,10 @@ the median of the per-pair ratios change/parent.  ``--json PATH`` also
 writes the command line, workload, run length, seeds, each pair's metric
 values and the summary rows to PATH, as the record of a speed claim; the
 file is opened before the first run, so an unwritable PATH fails at
-once.  Exit status is 1 when any run was not correct (it exited nonzero
-or reported ``"correct": false``), 2 on a usage error, and 0 otherwise.
+once.  ``--workload`` takes the names of ``BENCHMARK.json``'s workloads,
+so a bad name also fails before any run.  Exit status is 1 when any run
+was not correct (it exited nonzero or reported ``"correct": false``), 2
+on a usage error, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def end_to_end_metrics(path: Path = ROOT / "BENCHMARK.json") -> list[dict]:
     return json.loads(path.read_text())["end_to_end"]
+
+
+def workload_names(path: Path = ROOT / "BENCHMARK.json") -> list[str]:
+    return [w["name"] for w in json.loads(path.read_text())["workloads"]]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -102,7 +108,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=workload_names())
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed-base", type=int, required=True)
