@@ -60,7 +60,7 @@ class Assembly:
 
     def colors(self, system: TileSystem) -> tuple[int, ...]:
         """Per-cell colours of the placed tiles, canonical order."""
-        palette = [t.color for t in system.tiles]
+        palette = [t[4] for t in system.tiles]
         return tuple([palette[t] for t in self.tiles])
 
     def induced_partition(self) -> Partition:
@@ -211,7 +211,13 @@ def _sweep(system: TileSystem) -> SimulationResult:
     outcome, its position and its tile ids are the same.
 
     Meeting a key that two or more tiles share is the nondeterminism the
-    frontier loop reports, with the key's two smallest tile ids."""
+    frontier loop reports, with the key's two smallest tile ids.
+
+    When no two tiles share a key, a success path runs first: one dict
+    lookup per cell, no support or sharing tests, since a system that
+    assembles fills every cell.  Its first missing key restarts the full
+    pass from the first cell, so a ``Stuck`` result, its positions and its
+    cost are those of the full pass."""
     m = system.m
     north, east, south_of, west_of, _ = zip(*system.tiles)
     keys = list(zip(south_of, west_of))
@@ -220,6 +226,20 @@ def _sweep(system: TileSystem) -> SimulationResult:
     shared = None
     if len(tile_of) < len(keys):
         shared = {key for key, count in Counter(keys).items() if count > 1}
+    else:
+        up = list(system.seed_north)
+        placed = []
+        try:
+            for west in system.seed_east:
+                for x in range(m):
+                    t = tile_of[up[x], west]
+                    placed.append(t)
+                    up[x] = north[t]
+                    west = east[t]
+        except KeyError:
+            pass  # some cell has no tile: start over below
+        else:
+            return UniqueTerminal(Assembly(m, system.n, tuple(placed)))
     # glue each column presents northward into the current row; None
     # where the cell below was never filled
     up: list[int | None] = list(system.seed_north)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add
 
 from .partition import Partition, canonical_signature, cell_index
@@ -204,8 +204,9 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
     part's first cell is its smallest id's first cell, and a class
     first occurs in no part that was united away, because that part's
     sides are identified with those of the part of smaller id it joined.
-    The labels and the flattened quads of the surviving parts are then
-    renumbered by ``map``, with no Python loop over the cells or classes.
+    The labels are renumbered by ``map`` over the part ranks, and the
+    quads of the surviving parts by one list comprehension that unpacks
+    each quad against the class ranks.
     """
     glues = f.glues
     up: dict[int, int] = {}  # united-away part id -> smaller part id
@@ -235,8 +236,8 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
     kept = list(glues)
     for q in sorted(up, reverse=True):
         del kept[q]
-    flat = map(_ranks(glue_up, f.num_classes).__getitem__, chain.from_iterable(kept))
-    quads = tuple(zip(flat, flat, flat, flat))
+    r = _ranks(glue_up, f.num_classes)
+    quads = tuple([(r[a], r[b], r[c], r[d]) for a, b, c, d in kept])
     return GlueAssignment(Partition(p.m, p.n, labels), quads, f.num_classes - len(glue_up))
 
 
@@ -287,7 +288,7 @@ def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
     if (p.m, p.n) != (m, grid.n):
         raise ValueError("partition and grid dimensions differ")
     glues = f.glues
-    if len({(q[S], q[W]) for q in glues}) < len(glues):
+    if len({(s, w) for _, _, s, w in glues}) < len(glues):
         raise ValueError(
             f"partition is not constructible: parts {constructibility(f).conflict} "
             "share S and W"
@@ -304,6 +305,6 @@ def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
     # Tile(*quad, colour) per part, built as the tuple subclass directly:
     # what Tile._make does, without a Python frame per tile
     tiles = tuple(map(tuple.__new__, repeat(Tile), map(add, glues, zip(part_color))))
-    seed_north = tuple(glues[labels[x]][S] for x in range(m))
-    seed_east = tuple(glues[labels[y * m]][W] for y in range(grid.n))
+    seed_north = tuple([glues[lab][S] for lab in labels[:m]])
+    seed_east = tuple([glues[lab][W] for lab in labels[::m]])
     return TileSystem(m, grid.n, tiles, seed_north, seed_east)

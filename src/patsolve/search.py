@@ -110,7 +110,8 @@ class SolveConfig:
     best solution seen (which is still proven optimal if the tree was
     exhausted before the cutoff hit).  ``report_every`` triggers a
     progress event every so many merges on top of the events emitted at
-    each improvement.
+    each improvement.  Counts and the seed must be ``int`` (a ``bool`` is
+    not a count); anything else raises ``TypeError``.
     """
 
     mode: str = "exact"
@@ -121,6 +122,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "anytime"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("cutoff_merges", "report_every"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise TypeError(f"{name} must be an int, not {value!r}")
+        if not isinstance(self.rng_seed, int):
+            raise TypeError(f"rng_seed must be an int, not {self.rng_seed!r}")
         if self.mode == "anytime":
             if self.cutoff_merges is None or self.cutoff_merges < 0:
                 raise ValueError("anytime mode needs a nonnegative cutoff_merges")

@@ -158,6 +158,27 @@ def test_assembly_tile_at():
         (0,), (0,),
     )
 )
+@example(  # distinct keys, no tile for the first cell
+    system=TileSystem(2, 2, (Tile(0, 0, 1, 1, 0), Tile(1, 1, 0, 1, 0)), (0, 0), (0, 0))
+)
+@example(  # distinct keys, the first row fills, stuck at (2,2) mid-row
+    system=TileSystem(
+        3, 2, (Tile(1, 0, 0, 0, 0), Tile(0, 2, 1, 0, 1)), (0, 0, 0), (0, 0)
+    )
+)
+@example(  # distinct keys, every cell but the last fills
+    system=TileSystem(
+        2, 2, (Tile(1, 2, 0, 0, 0), Tile(3, 0, 0, 2, 1), Tile(0, 4, 1, 0, 1)),
+        (0, 0), (0, 0),
+    )
+)
+@example(  # distinct keys, assembles
+    system=TileSystem(
+        2, 2,
+        (Tile(1, 2, 0, 0, 0), Tile(3, 0, 0, 2, 1), Tile(0, 4, 1, 0, 1), Tile(5, 5, 3, 4, 0)),
+        (0, 0), (0, 0),
+    )
+)
 def test_sweep_matches_frontier_loop(system):
     # the canonical sweep against the frontier loop, which the general
     # strength rule cross-checks at every step

@@ -133,3 +133,19 @@ def test_unknown_workload_fails_before_any_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "invalid choice: 'nosuch'" in captured.err
     assert "pair 0" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_speed_record(path):
+    # each committed record of a speed claim is a complete, correct
+    # paired run of one of the benchmark's workloads
+    record = json.loads(path.read_text())
+    assert record["workload"] in pairs.workload_names()
+    names = [m["name"] for m in pairs.end_to_end_metrics()]
+    assert [row["name"] for row in record["summary"]] == names
+    seeds = record["seeds"]
+    assert [p["seed"] for p in record["pairs"]] == seeds and len(set(seeds)) == len(seeds)
+    for p in record["pairs"]:
+        assert isinstance(p["parent"], dict) and isinstance(p["change"], dict)
+        assert sorted(p["parent"]) == sorted(p["change"]) == sorted(names)
+    assert record["incorrect_runs"] == 0

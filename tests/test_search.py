@@ -62,6 +62,19 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(mode="bestfirst")
 
+    @pytest.mark.parametrize("field, value", [
+        ("cutoff_merges", 3.5),
+        ("cutoff_merges", True),
+        ("report_every", 2.5),
+        ("report_every", True),
+        ("rng_seed", 1.5),
+    ])
+    def test_counts_and_seed_must_be_int(self, field, value):
+        # a float count would be rounded up by the merge counter, and a
+        # float seed would fail inside SplitMix64 only once solve runs
+        with pytest.raises(TypeError, match=field):
+            SolveConfig(**{"mode": "anytime", "cutoff_merges": 10, field: value})
+
 
 def observe(grid, seed=0, **options):
     """Every node the engine visits on an exact solve, in visiting order,
