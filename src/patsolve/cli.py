@@ -11,7 +11,11 @@ Subcommands:
 
 Exit status is 0 on success (a cutoff solve that stops early still
 succeeds; it reports ``optimal=false``), 1 on failures (bad input
-files, failed verification), 2 on usage errors.
+files, failed verification), 2 on usage errors.  A ``solve`` stopped by
+SIGINT (Ctrl-C) writes its best verified tile set and its ``result``
+line (``optimal=false``) as usual and then exits 130; an interrupt
+before the first solution is verified, or in another subcommand, exits
+130 with nothing written.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ def _read(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
 
 
-def _open_out(path: str):
+def _open_out(path: str, buffering: int = -1):
     try:
-        return open(path, "w", encoding="ascii")
+        return open(path, "w", buffering, encoding="ascii")
     except OSError as exc:
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
 
@@ -79,9 +83,10 @@ def _cmd_solve(args) -> int:
             report_every=args.report_every,
         )
     # the outputs are opened before the search, so an unwritable path fails
-    # at once instead of after a long solve
+    # at once instead of after a long solve; the event stream is written a
+    # line at a time, so a reader sees each event when it happens
     with ExitStack() as files:
-        events = files.enter_context(_open_out(args.events)) if args.events else None
+        events = files.enter_context(_open_out(args.events, 1)) if args.events else None
         out = files.enter_context(_open_out(args.out)) if args.out not in (None, "-") else None
         progress = None
         if events is not None:
@@ -98,7 +103,7 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(final)
         if args.out:
             (out or sys.stdout).write(emit_tileset(result.best_system))
-    return 0
+    return 130 if result.interrupted else 0
 
 
 def _cmd_verify(args) -> int:
@@ -184,7 +189,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output file (default stdout)")
     gen.set_defaults(func=_cmd_generate)
 
-    slv = sub.add_parser("solve", help="search for a minimum tile set")
+    slv = sub.add_parser(
+        "solve",
+        help="search for a minimum tile set",
+        description="Search for a minimum tile set.  On SIGINT (Ctrl-C) the "
+        "search stops, the best verified tile set and the result line "
+        "(optimal=false) are written as usual, and the exit status is 130.",
+    )
     slv.add_argument("--pattern", required=True, help="pattern file")
     group = slv.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact", action="store_true", help="run to proven optimality")
@@ -228,6 +239,9 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         raise
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -27,6 +27,14 @@ assembles exactly it, iff no two parts of its MGTA share both their
 south and west classes.  (Two parts with equal full quadruples are a
 special case.)  ``extract_tas`` turns a constructible assignment over a
 colour-respecting partition into the concrete tile system.
+
+``coarsen`` and ``extract_tas`` are typed wrappers over raw cores that
+the search calls once per incumbent: ``coarsen_tables`` maps (labels,
+quads, class count) to the coarsened triple without building or
+validating a ``Partition``, and ``tile_table`` runs both of
+``extract_tas``'s checks and gives the tiles as plain 5-tuples.  The
+wrappers add the objects, the ``Partition``'s validation and the
+``Tile``s, which the search builds only for the solutions it hands out.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ class GlueAssignment:
     @cached_property
     def canonical_quads(self) -> tuple[tuple[int, int, int, int], ...]:
         """Quadruples reordered by canonical part order (label-independent)."""
-        return tuple(self.glues[p] for p in _canonical_part_order(self.partition))
+        return tuple(self.glues[p] for p in _canonical_part_order(self.partition.labels))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlueAssignment):
@@ -98,10 +106,10 @@ class Constructibility:
         return self.conflict is None
 
 
-def _canonical_part_order(p: Partition) -> list[int]:
+def _canonical_part_order(labels) -> list[int]:
     order = []
     seen = set()
-    for lab in p.labels:
+    for lab in labels:
         if lab not in seen:
             seen.add(lab)
             order.append(lab)
@@ -158,7 +166,7 @@ def build_mgta(p: Partition, adjacency_order=None) -> GlueAssignment:
 def _canonicalize(p: Partition, raw_quads: dict) -> GlueAssignment:
     ids: dict = {}
     glues: list = [None] * len(raw_quads)
-    for lab in _canonical_part_order(p):
+    for lab in _canonical_part_order(p.labels):
         quad = []
         for cls in raw_quads[lab]:
             got = ids.get(cls)
@@ -194,7 +202,19 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
     without a rebuild.  ``f`` must have canonical part ids (its labels are
     its canonical signature), as ``build_mgta`` and ``coarsen`` give them.
     Pairs may repeat, chain, or name parts that earlier pairs united; their
-    ids are not checked (``merge_tiles`` checks its pair).
+    ids are not checked (``merge_tiles`` checks its pair).  The work is
+    ``coarsen_tables``'s; this wraps its tables in a validated
+    ``Partition`` and a ``GlueAssignment``."""
+    p = f.partition
+    labels, quads, num_classes = coarsen_tables(p.labels, f.glues, f.num_classes, pairs)
+    return GlueAssignment(Partition(p.m, p.n, labels), quads, num_classes)
+
+
+def coarsen_tables(labels, quads, num_classes: int, pairs):
+    """``coarsen`` on raw tables: the labels, quads and class count of an
+    MGTA with canonical part ids in, those of the coarsened MGTA out, with
+    no ``Partition`` or ``GlueAssignment`` built or validated.  The search
+    adopts its incumbents through this.
 
     Uniting two parts identifies their N, E, S, W classes pairwise and
     nothing else, so a union-find over the part ids and one over the
@@ -206,9 +226,9 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
     sides are identified with those of the part of smaller id it joined.
     The labels are renumbered by ``map`` over the part ranks, and the
     quads of the surviving parts by one list comprehension that unpacks
-    each quad against the class ranks.
+    each quad against the class ranks; the new labels are compact by
+    construction.
     """
-    glues = f.glues
     up: dict[int, int] = {}  # united-away part id -> smaller part id
     glue_up: dict[int, int] = {}  # likewise for class ids
     for a, b in pairs:
@@ -221,7 +241,7 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
         if b < a:
             a, b = b, a
         up[b] = a
-        for g, h in zip(glues[a], glues[b]):
+        for g, h in zip(quads[a], quads[b]):
             while g in glue_up:
                 g = glue_up[g]
             while h in glue_up:
@@ -231,14 +251,13 @@ def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
                     g, h = h, g
                 glue_up[h] = g
 
-    p = f.partition
-    labels = tuple(map(_ranks(up, len(glues)).__getitem__, p.labels))
-    kept = list(glues)
+    new_labels = tuple(map(_ranks(up, len(quads)).__getitem__, labels))
+    kept = list(quads)
     for q in sorted(up, reverse=True):
         del kept[q]
-    r = _ranks(glue_up, f.num_classes)
-    quads = tuple([(r[a], r[b], r[c], r[d]) for a, b, c, d in kept])
-    return GlueAssignment(Partition(p.m, p.n, labels), quads, f.num_classes - len(glue_up))
+    r = _ranks(glue_up, num_classes)
+    new_quads = tuple([(r[a], r[b], r[c], r[d]) for a, b, c, d in kept])
+    return new_labels, new_quads, num_classes - len(glue_up)
 
 
 def _ranks(up: dict[int, int], size: int) -> list[int]:
@@ -261,50 +280,65 @@ def _ranks(up: dict[int, int], size: int) -> list[int]:
 def constructibility(f: GlueAssignment) -> Constructibility:
     """Determinism check: scan parts in canonical order for two parts with
     equal (S, W) class pairs."""
+    return Constructibility(conflict=_sw_conflict(f.partition.labels, f.glues))
+
+
+def _sw_conflict(labels, quads) -> tuple[int, int] | None:
+    """The first two part ids, in canonical part order, whose quads share
+    their (S, W) classes, or None."""
     seen: dict[tuple[int, int], int] = {}
-    for lab in _canonical_part_order(f.partition):
-        key = (f.glues[lab][S], f.glues[lab][W])
+    for lab in _canonical_part_order(labels):
+        key = (quads[lab][S], quads[lab][W])
         other = seen.get(key)
         if other is not None:
-            return Constructibility(conflict=(other, lab))
+            return (other, lab)
         seen[key] = lab
-    return Constructibility()
+    return None
 
 
 def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
-    """Concrete tile system for a constructible assignment: one tile per
-    part, coloured by the part's cells, seed glues read off the south and
-    west border classes.
+    """Concrete tile system for a constructible assignment: one ``Tile``
+    per part, coloured by the part's cells, seed glues read off the south
+    and west border classes.  Raises ValueError when the dimensions
+    differ or a check of ``tile_table``, which does the work, fails."""
+    p = f.partition
+    if (p.m, p.n) != (grid.m, grid.n):
+        raise ValueError("partition and grid dimensions differ")
+    tiles, seed_north, seed_east = tile_table(p.labels, f.glues, grid)
+    # Tile(*row) per part, built as the tuple subclass directly: what
+    # Tile._make does, without a Python frame per tile
+    tiles = tuple(map(tuple.__new__, repeat(Tile), tiles))
+    return TileSystem(grid.m, grid.n, tiles, seed_north, seed_east)
+
+
+def tile_table(labels, quads, grid: ColorGrid):
+    """``extract_tas`` on raw tables: the labels and quads of an MGTA over
+    ``grid``'s cells in, the tile system's rows out, as (tiles,
+    seed_north, seed_east) with each tile a plain (N, E, S, W, colour)
+    tuple.  The search verifies its incumbents on these rows and makes
+    ``Tile``s only for the systems it hands out.
 
     One pass over the parts checks constructibility (no two parts share
-    an (S, W) pair; ``constructibility`` is consulted only to name the
-    first such pair), and one pass over the cells gives each part its
-    colour while checking that the partition respects the grid's
-    colouring (refines the colour partition), since otherwise no single
-    colour per tile exists.  Raises ValueError when either check fails.
+    an (S, W) pair; the canonical scan runs only to name the first such
+    pair), and one pass over the cells gives each part its colour while
+    checking that the partition respects the grid's colouring (refines
+    the colour partition), since otherwise no single colour per tile
+    exists.  Raises ValueError when either check fails.
     """
-    p = f.partition
-    m = grid.m
-    if (p.m, p.n) != (m, grid.n):
-        raise ValueError("partition and grid dimensions differ")
-    glues = f.glues
-    if len({(s, w) for _, _, s, w in glues}) < len(glues):
+    if len({(s, w) for _, _, s, w in quads}) < len(quads):
         raise ValueError(
-            f"partition is not constructible: parts {constructibility(f).conflict} "
+            f"partition is not constructible: parts {_sw_conflict(labels, quads)} "
             "share S and W"
         )
-
-    labels = p.labels
-    part_color: list[int | None] = [None] * len(glues)
+    part_color: list[int | None] = [None] * len(quads)
     for lab, col in zip(labels, grid.cells):
         have = part_color[lab]
         if have is None:
             part_color[lab] = col
         elif have != col:
             raise ValueError("partition does not respect the grid colouring")
-    # Tile(*quad, colour) per part, built as the tuple subclass directly:
-    # what Tile._make does, without a Python frame per tile
-    tiles = tuple(map(tuple.__new__, repeat(Tile), map(add, glues, zip(part_color))))
-    seed_north = tuple([glues[lab][S] for lab in labels[:m]])
-    seed_east = tuple([glues[lab][W] for lab in labels[::m]])
-    return TileSystem(m, grid.n, tiles, seed_north, seed_east)
+    m = grid.m
+    tiles = tuple(map(add, quads, zip(part_color)))
+    seed_north = tuple([quads[lab][S] for lab in labels[:m]])
+    seed_east = tuple([quads[lab][W] for lab in labels[::m]])
+    return tiles, seed_north, seed_east

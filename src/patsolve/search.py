@@ -48,24 +48,33 @@ The isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
 rest of the walk; the random draws are the same either way.
 
-Adopting an incumbent rebuilds nothing.  Most incumbents lie below the
-last one on the same path, a merge or a few deeper, so their MGTA is
-that of the last incumbent coarsened by the merges since: the engine
-keeps the last incumbent's last merge record and glue assignment, and
-when that record is still on the path at the incumbent's depth (an
-identity test, so undo keeps no extra books) ``coarsen`` unites the old
-part ids of the new merges' anchors.  Otherwise (the root, and incumbents
-found after backtracking) ``_snapshot`` reads the assignment off the engine
-in one pass over the cells: the union-find's classes already are the
-MGTA of the current partition, so the pass labels each cell by first
-occurrence of its part (canonical part order), taken from the merge
-records on the path, and, at each part's first cell, numbers the roots
-of its N, E, S, W edge nodes by first occurrence.  Both give the
-``Partition`` and exactly the class ids ``build_mgta`` would give.  The
-assignment still goes through ``extract_tas``, with its constructibility
-and colour checks, and the resulting tile system through the full
-simulation of ``verify_solution``, before ``progress`` or
-``on_incumbent`` hear of it.
+Adopting an incumbent rebuilds nothing and builds no public object.
+Most incumbents lie below the last one on the same path, a merge or a
+few deeper, so their MGTA is that of the last incumbent coarsened by the
+merges since: the engine keeps the last incumbent's last merge record
+and its MGTA as raw tables (labels, quads, class count), and when that
+record is still on the path at the incumbent's depth (an identity test,
+so undo keeps no extra books) ``coarsen_tables`` unites the old part ids
+of the new merges' anchors.  Otherwise (the root, and incumbents found
+after backtracking) ``_snapshot`` reads the tables off the engine in one
+pass over the cells: the union-find's classes already are the MGTA of
+the current partition, so the pass labels each cell by first occurrence
+of its part (canonical part order), taken from the merge records on the
+path, and, at each part's first cell, numbers the roots of its N, E, S,
+W edge nodes by first occurrence.  Both give exactly the labels and
+class ids ``build_mgta`` would give.  The tables still go through
+``tile_table``, with ``extract_tas``'s constructibility and colour
+checks, and its rows through the full simulation of ``verify_solution``,
+before ``best``, the trace, ``progress`` or ``on_incumbent`` hear of
+the incumbent.  It is then stored in one assignment, so a solve stopped
+at any point finds its last incumbent whole.
+
+The public objects (a validated ``Partition``, its ``GlueAssignment``
+and, from ``extract_tas``, a ``TileSystem`` of ``Tile``s) are built from
+the stored tables only when a solution is handed out: at each
+``on_incumbent`` call and once when ``solve`` returns.  A
+``KeyboardInterrupt`` stops the walk like a cutoff, and ``solve`` hands
+out the last incumbent with ``interrupted`` set.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from dataclasses import dataclass
 
 from .atam import verify_solution
 from .keyindex import KeyIndex
-from .mgta import GlueAssignment, coarsen, extract_tas
+from .mgta import GlueAssignment, coarsen_tables, extract_tas, tile_table
 from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
@@ -160,6 +169,7 @@ class SolveResult:
     proven_optimal: bool
     merges_performed: int
     trace: tuple[tuple[int, int], ...]  # (merges, best_size) at each improvement
+    interrupted: bool = False  # a KeyboardInterrupt stopped the search
 
 
 @dataclass(frozen=True)
@@ -232,11 +242,10 @@ class _Engine:
 
         self.merges = 0
         self.best = mn + 1
-        self.best_system: TileSystem | None = None
-        self.trace: list[tuple[int, int]] = []
         # the last, so the best, incumbent: (last merge record or None,
-        # MGTA).  Holding the record keeps its identity unique, and a record
-        # taken off the path is never pushed again.
+        # labels, quads, class count, verified tile table, trace).  Holding
+        # the record keeps its identity unique, and a record taken off the
+        # path is never pushed again.
         self.last: tuple | None = None
 
         self.path: list[tuple] = []  # merge records of the current path
@@ -328,13 +337,13 @@ class _Engine:
         if re is not None and self.merges % re == 0 and self.progress is not None:
             self.progress(self.merges, self.best)
 
-    def _snapshot(self) -> GlueAssignment:
-        """The current partition and its MGTA, in one pass over the cells
-        (see the module docstring).  Each merge record on the path links
-        its ``hi`` to a smaller cell of its part, ``lo``, whose label it
-        takes; each anchor takes the next label (the canonical signature)
-        and supplies its part's edge roots, numbered by first occurrence in
-        N, E, S, W order as ``build_mgta`` does."""
+    def _snapshot(self):
+        """The current partition's MGTA as (labels, quads, class count), in
+        one pass over the cells (see the module docstring).  Each merge
+        record on the path links its ``hi`` to a smaller cell of its part,
+        ``lo``, whose label it takes; each anchor takes the next label (the
+        canonical signature) and supplies its part's edge roots, numbered by
+        first occurrence in N, E, S, W order as ``build_mgta`` does."""
         p, m, wb, east = self.parent, self.grid.m, self.wbase, self.east
         up = list(range(self.mn))
         for rec in self.path:
@@ -366,11 +375,10 @@ class _Engine:
                 glue_id(south, len(glue_ids)),
                 glue_id(west, len(glue_ids)),
             ))
-        part = Partition(self.grid.m, self.grid.n, tuple(labels))
-        return GlueAssignment(part, tuple(quads), len(glue_ids))
+        return tuple(labels), tuple(quads), len(glue_ids)
 
     def _observe(self, constructible: bool) -> None:
-        labels = self._snapshot().partition.labels
+        labels = self._snapshot()[0]
         anchors: list[int] = []
         for c, lab in enumerate(labels):
             if lab == len(anchors):
@@ -389,34 +397,44 @@ class _Engine:
 
     def _adopt_incumbent(self) -> None:
         """Adopt the current node, of fewer parts than ``best``, as the
-        incumbent.  The last one, of ``best`` parts, sat m*n - best merges
-        deep."""
-        path, last = self.path, self.last
+        incumbent, on raw tables (see the module docstring).  The last one,
+        of ``best`` parts, sat m*n - best merges deep."""
+        path, last, grid = self.path, self.last, self.grid
         depth = self.mn - self.best
         if last is not None and (not depth or path[depth - 1] is last[0]):
             # below the last incumbent, whose path is still a prefix of ours
-            glues = last[1]
-            labels = glues.partition.labels
-            glues = coarsen(glues, [(labels[r[1]], labels[r[2]]) for r in path[depth:]])
+            labels = last[1]
+            pairs = [(labels[r[1]], labels[r[2]]) for r in path[depth:]]
+            labels, quads, num_classes = coarsen_tables(labels, last[2], last[3], pairs)
         else:
-            glues = self._snapshot()
-        part = glues.partition
-        assert part.num_parts == self.mn - len(path)
-        system = extract_tas(glues, self.grid)
-        report = verify_solution(system, self.grid)
+            labels, quads, num_classes = self._snapshot()
+        size = len(quads)
+        assert size == self.mn - len(path)
+        table = TileSystem(grid.m, grid.n, *tile_table(labels, quads, grid))
+        report = verify_solution(table, grid)
         if not report.ok:
             raise RuntimeError(
-                f"internal error: incumbent of size {part.num_parts} failed "
+                f"internal error: incumbent of size {size} failed "
                 f"verification: {report.failure}"
             )
-        self.best = part.num_parts
-        self.best_system = system
-        self.last = (path[-1] if path else None, glues)
-        self.trace.append((self.merges, self.best))
+        trace = (*last[5], (self.merges, size)) if last is not None else ((self.merges, size),)
+        self.last = (path[-1] if path else None, labels, quads, num_classes, table, trace)
+        self.best = size
         if self.on_incumbent is not None:
-            self.on_incumbent(self.merges, self.best, system, part)
+            self.on_incumbent(self.merges, size, *self._hand_out())
         if self.progress is not None:
-            self.progress(self.merges, self.best)
+            self.progress(self.merges, size)
+
+    def _hand_out(self) -> tuple[TileSystem, Partition]:
+        """The last incumbent as public objects, each check in force: its
+        ``TileSystem`` of ``Tile``s from ``extract_tas``, which must be the
+        table that was simulated, and its validated ``Partition``."""
+        _, labels, quads, num_classes, table, _ = self.last
+        part = Partition(self.grid.m, self.grid.n, labels)
+        system = extract_tas(GlueAssignment(part, quads, num_classes), self.grid)
+        if system != table:
+            raise RuntimeError("internal error: the tile system handed out is not the one verified")
+        return system, part
 
     # -- the tree -----------------------------------------------------------
 
@@ -588,7 +606,11 @@ def solve(
 
     The first incumbent is always the discrete partition, size m*n, so a
     result exists even at cutoff 0.  Every incumbent is verified against
-    the grid by simulation before it is adopted.  ``progress`` is called
+    the grid by simulation before it is adopted.  A ``KeyboardInterrupt``
+    during the search (a SIGINT, or raised by a callback) stops it and
+    returns the last incumbent with ``interrupted=True`` and
+    ``proven_optimal=False``; one that comes before the first incumbent
+    is verified propagates.  ``progress`` is called
     as (merges, best) on every improvement and every
     ``cfg.report_every`` merges; ``on_incumbent`` as (merges, size,
     system, partition) on improvements; ``observer`` with a NodeInfo at
@@ -603,13 +625,21 @@ def solve(
     included, is read or changed.
     """
     engine = _Engine(grid, cfg, progress, on_incumbent, observer, use_bound)
-    proven = engine._run()
-    assert engine.best_system is not None and engine.last is not None
+    interrupted = False
+    try:
+        proven = engine._run()
+    except KeyboardInterrupt:
+        if engine.last is None:
+            raise  # stopped before the first incumbent was verified
+        proven, interrupted = False, True
+    system, part = engine._hand_out()
+    trace = engine.last[5]
     return SolveResult(
-        best_size=engine.best,
-        best_system=engine.best_system,
-        best_partition=engine.last[1].partition,
+        best_size=trace[-1][1],
+        best_system=system,
+        best_partition=part,
         proven_optimal=proven,
         merges_performed=engine.merges,
-        trace=tuple(engine.trace),
+        trace=trace,
+        interrupted=interrupted,
     )

@@ -119,8 +119,13 @@ def test_criterion_5_counter_seed_sensitivity(counter_16_runs):
     sizes = [r.best_size for r in counter_16_runs]
     spread = max(sizes) - min(sizes)
     assert spread > 0, sizes
+    # seeds 0 and 3 exhaust the tree inside the cutoff (about 701k and 313k
+    # merges) and prove the 4-tile optimum
+    for seed in (0, 3):
+        run = counter_16_runs[seed]
+        assert (run.best_size, run.proven_optimal) == (4, True), (seed, run.best_size)
     print(f"criterion 5 PASS: 16x16 counter best sizes {sizes}, "
-          f"seed spread {spread}")
+          f"seed spread {spread}, 4 tiles proven optimal on seeds 0 and 3")
 
 
 @pytest.mark.slow
@@ -225,3 +230,15 @@ def test_criterion_9_structured_optima():
         assert verify_solution(res.best_system, g).ok
     print(f"criterion 9 PASS: {len(PROVEN_OPTIMA)} sierpinski (n = 2..12) and "
           "counter (n = 3..9) optima proven: 3 tiles for sierpinski n < 4, else 4")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_criterion_9_counter_beyond_9x9(n):
+    # exhaustive at seed 0 in about 364k, 428k and 180k merges
+    g = gen_binary_counter(n, n)
+    res = tracked_solve(g, SolveConfig.exact(seed=0))
+    assert (res.best_size, res.proven_optimal) == (4, True), (n, res.best_size)
+    assert verify_solution(res.best_system, g).ok
+    print(f"criterion 9 PASS: {n}x{n} counter needs 4 tiles, proven optimal "
+          f"in {res.merges_performed} merges")

@@ -1,8 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import patsolve
+import patsolve.cli as cli_module
 from patsolve import (
     gen_binary_counter,
     gen_sierpinski,
@@ -164,6 +171,69 @@ class TestSolve:
         result, tiles = stdout.split("\n", 1)
         assert result.startswith("result best=3 ")
         assert verify_solution(parse_tileset(tiles), gen_sierpinski(3, 3)).ok
+
+    def test_interrupt_writes_the_best_and_exits_130(self, tmp_path, capsys):
+        pat = tmp_path / "pat.txt"
+        tiles = tmp_path / "tiles.txt"
+        events = tmp_path / "events.txt"
+        run(capsys, "generate", "--type", "random", "--m", "6", "--n", "6",
+            "--seed", "5", "--out", str(pat))
+        real_solve = cli_module.solve
+
+        def interrupted_solve(grid, cfg, progress):
+            def stop(merges, best):
+                progress(merges, best)
+                if merges >= 40:
+                    raise KeyboardInterrupt
+
+            return real_solve(grid, cfg, progress=stop)
+
+        with mock.patch.object(cli_module, "solve", interrupted_solve):
+            code, stdout, _ = run(
+                capsys, "solve", "--pattern", str(pat), "--cutoff", "100000",
+                "--out", str(tiles), "--events", str(events),
+            )
+        assert code == 130
+        assert stdout.startswith("result best=") and stdout.endswith(" optimal=false\n")
+        lines = events.read_text().splitlines()
+        assert lines[-1] + "\n" == stdout
+        best = int(lines[-2].split("best=")[1])
+        assert stdout.startswith(f"result best={best} ")
+        system = parse_tileset(tiles.read_text())
+        assert len(system.tiles) == best
+        assert run(capsys, "verify", "--pattern", str(pat), "--tiles", str(tiles))[0] == 0
+
+    def test_sigint_writes_the_best_and_exits_130(self, tmp_path, capsys):
+        pat = tmp_path / "pat.txt"
+        tiles = tmp_path / "tiles.txt"
+        events = tmp_path / "events.txt"
+        run(capsys, "generate", "--type", "random", "--m", "16", "--n", "16",
+            "--seed", "100", "--out", str(pat))
+        src = Path(patsolve.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patsolve.cli", "solve", "--pattern", str(pat),
+             "--cutoff", "100000000", "--out", str(tiles), "--events", str(events)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # a parent that ignores SIGINT would pass that on; the CLI is
+            # tested with the default disposition, as in a terminal
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (events.exists() and "event " in events.read_text()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, stderr
+        assert stdout.startswith("result best=") and stdout.endswith(" optimal=false\n")
+        assert events.read_text().splitlines()[-1] + "\n" == stdout
+        code, verified, _ = run(capsys, "verify", "--pattern", str(pat), "--tiles", str(tiles))
+        assert code == 0 and verified.startswith("verify: OK")
 
     def test_huge_header_short_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 from contextlib import ExitStack
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 import patsolve.search as search_module
 from patsolve import (
     ColorGrid,
+    Partition,
     SolveConfig,
     SplitMix64,
+    Tile,
     brute_constructible,
     build_mgta,
     color_partition,
@@ -441,28 +444,39 @@ class TestObservers:
             assert verify_solution(system, g).ok
 
 
+def solve_with_adoption_check(grid, cfg, check, **options):
+    """Solve with ``check(engine)`` called right after each incumbent is
+    adopted, with the engine still at the incumbent's node."""
+
+    class Engine(search_module._Engine):
+        def _adopt_incumbent(self):
+            super()._adopt_incumbent()
+            check(self)
+
+    with mock.patch.object(search_module, "_Engine", Engine):
+        return solve(grid, cfg, **options)
+
+
 class TestIncumbentAssignment:
-    """The engine reads each incumbent's glue assignment off its own slot
-    union-find.  build_mgta computes the same assignment from the
-    partition alone; the two must agree on every incumbent, class ids
-    included."""
+    """The engine reads each incumbent's glue assignment off its own
+    edge-node union-find, or derives it from the last one's, as raw
+    tables.  build_mgta computes the same assignment from the partition
+    alone; the two must agree on every incumbent, class ids included, and
+    the tile table the engine verified must be extract_tas's on it."""
 
     @staticmethod
     def solve_checked(grid, cfg):
-        real_extract = search_module.extract_tas
         checked = []
 
-        def extract_checked(f, g):
-            ref = build_mgta(f.partition)
-            assert f.glues == ref.glues
-            assert f.num_classes == ref.num_classes
-            system = real_extract(f, g)
-            assert system == extract_tas(ref, g)
-            checked.append(system)
-            return system
+        def check(engine):
+            _, labels, quads, num_classes, table, _ = engine.last
+            ref = build_mgta(Partition(grid.m, grid.n, labels))
+            assert quads == ref.glues
+            assert num_classes == ref.num_classes
+            assert table == extract_tas(ref, grid)
+            checked.append(table)
 
-        with mock.patch.object(search_module, "extract_tas", extract_checked):
-            result = solve(grid, cfg)
+        result = solve_with_adoption_check(grid, cfg, check)
         assert len(checked) == len(result.trace)
         assert checked[-1] == result.best_system
         return result
@@ -487,37 +501,36 @@ class TestIncumbentAssignment:
 
 
 def solve_checking_adoption(grid, cfg):
-    """Solve with each adopted assignment compared with ``_snapshot()`` of
-    the engine state it is adopted at: labels, class ids and class count.
-    Returns the result and how many incumbents ``coarsen`` derived and
-    how many were snapshotted after the root's."""
-    engines = []
+    """Solve with each adopted incumbent's tables compared with
+    ``_snapshot()`` of the engine state it is adopted at (labels, class ids
+    and class count), and its stored tile table checked to be the one
+    ``verify_solution`` simulated.  Returns the result and how many
+    incumbents ``coarsen_tables`` derived and how many were snapshotted
+    after the root's."""
     counts = {"adopted": 0, "derived": 0}
+    simulated = []
+    real_coarsen, real_verify = search_module.coarsen_tables, search_module.verify_solution
 
-    class Engine(search_module._Engine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
-
-    real_coarsen, real_extract = search_module.coarsen, search_module.extract_tas
-
-    def counted_coarsen(f, pairs):
+    def counted_coarsen(*args):
         counts["derived"] += 1
-        return real_coarsen(f, pairs)
+        return real_coarsen(*args)
 
-    def extract_checked(f, g):
-        ref = engines[-1]._snapshot()
-        assert f.partition.labels == ref.partition.labels
-        assert f.glues == ref.glues
-        assert f.num_classes == ref.num_classes
+    def recorded_verify(system, g):
+        simulated.append(system)
+        return real_verify(system, g)
+
+    def check(engine):
+        labels, quads, num_classes = engine._snapshot()
+        assert engine.last[1] == labels
+        assert engine.last[2] == quads
+        assert engine.last[3] == num_classes
+        assert engine.last[4] is simulated[-1]
         counts["adopted"] += 1
-        return real_extract(f, g)
 
     with ExitStack() as patches:
-        patches.enter_context(mock.patch.object(search_module, "_Engine", Engine))
-        patches.enter_context(mock.patch.object(search_module, "coarsen", counted_coarsen))
-        patches.enter_context(mock.patch.object(search_module, "extract_tas", extract_checked))
-        result = solve(grid, cfg)
+        patches.enter_context(mock.patch.object(search_module, "coarsen_tables", counted_coarsen))
+        patches.enter_context(mock.patch.object(search_module, "verify_solution", recorded_verify))
+        result = solve_with_adoption_check(grid, cfg, check)
     assert counts["adopted"] == len(result.trace)
     return result, counts["derived"], counts["adopted"] - counts["derived"] - 1
 
@@ -535,7 +548,7 @@ ADOPTION_WORKLOADS = {
 
 class TestIncumbentDerivation:
     """An incumbent below the last one on the search path has its MGTA
-    derived by ``coarsen`` from the last one's; any other is read off the
+    derived by ``coarsen_tables`` from the last one's; any other is read off the
     engine by ``_snapshot``.  The derived assignment must be the snapshot
     exactly, and each workload must take both paths."""
 
@@ -561,6 +574,168 @@ class TestIncumbentDerivation:
 
         check()
         assert all(seen.values()), seen
+
+
+HAND_OUT_CASES = {
+    "random5x5": (gen_random(5, 5, 2, 12), SolveConfig.exact(seed=12)),
+    "sierpinski16": (gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0)),
+    "random16": (gen_random(16, 16, 2, 100), SolveConfig.anytime(7500, seed=100)),
+}
+
+
+class TestHandOut:
+    """Incumbents are verified on raw tile tables; the public ``Tile``s,
+    ``GlueAssignment`` and validated ``Partition`` are built, through
+    ``extract_tas``, only for the solutions handed out."""
+
+    @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
+    def test_on_incumbent_gets_the_verified_table(self, name):
+        grid, cfg = HAND_OUT_CASES[name]
+        simulated = []
+        real_verify = search_module.verify_solution
+
+        def recorded_verify(system, g):
+            simulated.append(system)
+            return real_verify(system, g)
+
+        seen = []
+
+        def on_incumbent(merges, size, system, part):
+            table = simulated[-1]
+            assert all(type(t) is Tile for t in system.tiles)
+            assert len(system.tiles) == size == part.num_parts
+            assert system == table  # tile for tile, and the seed glues
+            assert type(part) is Partition
+            seen.append(merges)
+
+        with mock.patch.object(search_module, "verify_solution", recorded_verify):
+            result = solve(grid, cfg, on_incumbent=on_incumbent)
+        assert seen == [merges for merges, _ in result.trace]
+        assert len(simulated) == len(seen)
+        assert all(type(t) is Tile for t in result.best_system.tiles)
+        assert result.best_system == simulated[-1]
+        assert not result.interrupted
+
+    @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
+    def test_extract_tas_runs_only_at_hand_out(self, name):
+        grid, cfg = HAND_OUT_CASES[name]
+        calls = []
+        real_extract = search_module.extract_tas
+
+        def counted_extract(f, g):
+            calls.append(f.partition.num_parts)
+            return real_extract(f, g)
+
+        with mock.patch.object(search_module, "extract_tas", counted_extract):
+            plain = solve(grid, cfg)
+            assert calls == [plain.best_size]
+            calls.clear()
+            handed = solve(grid, cfg, on_incumbent=lambda *args: None)
+        assert calls == [size for _, size in handed.trace] + [handed.best_size]
+        assert handed.trace == plain.trace
+
+    def test_the_handed_out_system_is_the_verified_one(self):
+        grid, cfg = HAND_OUT_CASES["random5x5"]
+        real_extract = search_module.extract_tas
+
+        def recoloured(f, g):
+            system = real_extract(f, g)
+            tile = system.tiles[0]
+            tiles = (tile._replace(color=1 - tile.color), *system.tiles[1:])
+            return dataclasses.replace(system, tiles=tiles)
+
+        with mock.patch.object(search_module, "extract_tas", recoloured):
+            with pytest.raises(RuntimeError, match="not the one verified"):
+                solve(grid, cfg)
+
+
+INTERRUPT_GRID = gen_random(16, 16, 2, 100)
+INTERRUPT_CFG = SolveConfig.anytime(7500, seed=100)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """The interrupt tests' reference run: its result and the system handed
+    out for each incumbent."""
+    systems = []
+    result = solve(
+        INTERRUPT_GRID, INTERRUPT_CFG,
+        on_incumbent=lambda merges, size, system, part: systems.append(system),
+    )
+    return result, systems
+
+
+class TestInterrupt:
+    """A KeyboardInterrupt anywhere in the search stops it, and ``solve``
+    returns the last incumbent adopted before it, whole: its verified
+    system, its partition, its size and the trace up to it agree."""
+
+    @staticmethod
+    def check_stopped(result, uninterrupted, adopted):
+        """``result`` must be the reference run stopped after its first
+        ``adopted`` incumbents."""
+        reference, systems = uninterrupted
+        assert result.interrupted and not result.proven_optimal
+        assert result.trace == reference.trace[:adopted]
+        assert result.best_size == result.trace[-1][1] == len(result.best_system.tiles)
+        assert result.best_partition.num_parts == result.best_size
+        assert all(type(t) is Tile for t in result.best_system.tiles)
+        assert result.best_system == systems[adopted - 1]
+        assert verify_solution(result.best_system, INTERRUPT_GRID).ok
+
+    @pytest.mark.parametrize("hook", ["progress", "on_incumbent"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 100])
+    def test_at_the_kth_incumbent(self, uninterrupted, hook, k):
+        assert len(uninterrupted[0].trace) > 100
+        adopted = []
+
+        def stop(merges, size, *_):
+            adopted.append(size)
+            if len(adopted) == k:
+                raise KeyboardInterrupt
+
+        result = solve(INTERRUPT_GRID, INTERRUPT_CFG, **{hook: stop})
+        self.check_stopped(result, uninterrupted, k)
+        assert result.merges_performed == result.trace[-1][0]
+
+    @pytest.mark.parametrize("k", [2, 3, 17, 100])
+    def test_inside_an_adoption(self, uninterrupted, k):
+        # the k-th incumbent is interrupted while it is simulated, so the
+        # result is the one before it
+        calls = []
+        real_verify = search_module.verify_solution
+
+        def stop(system, g):
+            calls.append(len(system.tiles))
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return real_verify(system, g)
+
+        with mock.patch.object(search_module, "verify_solution", stop):
+            result = solve(INTERRUPT_GRID, INTERRUPT_CFG)
+        self.check_stopped(result, uninterrupted, k - 1)
+
+    @pytest.mark.parametrize("merges", [1, 500, 1445, 1446, 7400, 7500])
+    def test_between_merges(self, uninterrupted, merges):
+        reference, _ = uninterrupted
+
+        def stop(at, best):
+            if at == merges:
+                raise KeyboardInterrupt
+
+        cfg = SolveConfig.anytime(7500, seed=100, report_every=1)
+        result = solve(INTERRUPT_GRID, cfg, progress=stop)
+        adopted = sum(1 for m, _ in reference.trace if m < merges)
+        self.check_stopped(result, uninterrupted, adopted)
+        assert result.merges_performed == merges
+
+    def test_before_the_first_incumbent_propagates(self):
+        def stop(system, g):
+            raise KeyboardInterrupt
+
+        with mock.patch.object(search_module, "verify_solution", stop):
+            with pytest.raises(KeyboardInterrupt):
+                solve(INTERRUPT_GRID, INTERRUPT_CFG)
 
 
 def test_engine_attributes_fit_the_specialized_layout():
