@@ -94,7 +94,7 @@ def _south_glue(system: TileSystem, placed: list, x: int, y: int) -> int | None:
     if y == 1:
         return system.seed_north[x - 1]
     t = placed[cell_index(x, y - 1, system.m)]
-    return None if t is None else system.tiles[t].north
+    return None if t is None else system.tiles[t][0]  # its north glue
 
 
 def _west_glue(system: TileSystem, placed: list, x: int, y: int) -> int | None:
@@ -102,7 +102,7 @@ def _west_glue(system: TileSystem, placed: list, x: int, y: int) -> int | None:
     if x == 1:
         return system.seed_east[y - 1]
     t = placed[cell_index(x - 1, y, system.m)]
-    return None if t is None else system.tiles[t].east
+    return None if t is None else system.tiles[t][1]  # its east glue
 
 
 def attachable_tiles(system: TileSystem, placed: list, x: int, y: int) -> list[int]:
@@ -115,22 +115,22 @@ def attachable_tiles(system: TileSystem, placed: list, x: int, y: int) -> list[i
     if y < n:
         t = placed[cell_index(x, y + 1, m)]
         if t is not None:
-            ng = system.tiles[t].south
+            ng = system.tiles[t][2]  # its south glue
     if x < m:
         t = placed[cell_index(x + 1, y, m)]
         if t is not None:
-            en = system.tiles[t].west
+            en = system.tiles[t][3]  # its west glue
     out = []
-    for i, tile in enumerate(system.tiles):
+    for i, (north, east, south, west, _) in enumerate(system.tiles):
         strength = 0
         if sg is not None:
-            strength += glue_strength(tile.south, sg)
+            strength += glue_strength(south, sg)
         if wg is not None:
-            strength += glue_strength(tile.west, wg)
+            strength += glue_strength(west, wg)
         if ng is not None:
-            strength += glue_strength(tile.north, ng)
+            strength += glue_strength(north, ng)
         if en is not None:
-            strength += glue_strength(tile.east, en)
+            strength += glue_strength(east, en)
         if strength >= system.temperature:
             out.append(i)
     return out
@@ -153,8 +153,8 @@ def simulate(
         return _sweep(system)
 
     by_sw: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(system.tiles):
-        by_sw.setdefault((t.south, t.west), []).append(i)
+    for i, (_, _, south, west, _) in enumerate(system.tiles):
+        by_sw.setdefault((south, west), []).append(i)
     m, n = system.m, system.n
     mn = m * n
     placed: list[int | None] = [None] * mn

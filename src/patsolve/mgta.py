@@ -19,29 +19,26 @@ order, so equal assignments have equal tables.
 
 Uniting parts of a partition only identifies their side classes
 pairwise, so the MGTA of a coarsening follows from the finer one's
-without a rebuild: ``coarsen`` unites part ids and class ids and
+without a rebuild: ``coarsen_tables`` unites part ids and class ids and
 renumbers both, and ``merge_tiles`` is one call of it.
 
 A partition is constructible, i.e. some deterministic tile system
 assembles exactly it, iff no two parts of its MGTA share both their
 south and west classes.  (Two parts with equal full quadruples are a
-special case.)  ``extract_tas`` turns a constructible assignment over a
+special case.)  ``tile_table`` turns a constructible assignment over a
 colour-respecting partition into the concrete tile system.
 
-``coarsen`` and ``extract_tas`` are typed wrappers over raw cores that
-the search calls once per incumbent: ``coarsen_tables`` maps (labels,
-quads, class count) to the coarsened triple without building or
-validating a ``Partition``, and ``tile_table`` runs both of
-``extract_tas``'s checks and gives the tiles as plain 5-tuples.  The
-wrappers add the objects, the ``Partition``'s validation and the
-``Tile``s, which the search builds only for the solutions it hands out.
+``coarsen_tables`` and ``tile_table`` work on raw tables (labels,
+quads, class count) and build no ``Partition`` or ``GlueAssignment``,
+which is how the search adopts its incumbents.  ``tile_table``'s system
+holds its tiles as plain 5-tuples; ``named_tiles`` makes them
+``Tile``s, and ``extract_tas`` is the two on a ``GlueAssignment``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 from operator import add
 
 from .partition import Partition, canonical_signature, cell_index
@@ -180,8 +177,8 @@ def _canonicalize(p: Partition, raw_quads: dict) -> GlueAssignment:
 def merge_tiles(f: GlueAssignment, p1: int, p2: int) -> GlueAssignment:
     """The MGTA after uniting parts p1 and p2: their four side classes are
     identified pairwise.  Equals build_mgta(merge_parts(P, p1, p2)), with
-    canonical part ids.  An assignment whose part ids are not canonical
-    is renumbered first, so ``coarsen`` sees canonical labels."""
+    canonical part ids.  ``coarsen_tables`` does the work on the canonical
+    signature and quads, whatever the part ids of ``f``."""
     p = f.partition
     k = p.num_parts
     if not (0 <= p1 < k and 0 <= p2 < k):
@@ -189,32 +186,23 @@ def merge_tiles(f: GlueAssignment, p1: int, p2: int) -> GlueAssignment:
     if p1 == p2:
         raise ValueError("cannot merge a part with itself")
     signature = canonical_signature(p)
-    if p.labels != signature:
-        canonical_id = dict(zip(p.labels, signature))
-        f = GlueAssignment(Partition(p.m, p.n, signature), f.canonical_quads, f.num_classes)
-        p1, p2 = canonical_id[p1], canonical_id[p2]
-    return coarsen(f, ((p1, p2),))
-
-
-def coarsen(f: GlueAssignment, pairs) -> GlueAssignment:
-    """The MGTA of the partition ``f`` coarsens to when each (a, b) of
-    ``pairs`` unites the parts with ids a and b of ``f``, in one pass and
-    without a rebuild.  ``f`` must have canonical part ids (its labels are
-    its canonical signature), as ``build_mgta`` and ``coarsen`` give them.
-    Pairs may repeat, chain, or name parts that earlier pairs united; their
-    ids are not checked (``merge_tiles`` checks its pair).  The work is
-    ``coarsen_tables``'s; this wraps its tables in a validated
-    ``Partition`` and a ``GlueAssignment``."""
-    p = f.partition
-    labels, quads, num_classes = coarsen_tables(p.labels, f.glues, f.num_classes, pairs)
+    canonical_id = dict(zip(p.labels, signature))
+    pair = (canonical_id[p1], canonical_id[p2])
+    labels, quads, num_classes = coarsen_tables(
+        signature, f.canonical_quads, f.num_classes, (pair,)
+    )
     return GlueAssignment(Partition(p.m, p.n, labels), quads, num_classes)
 
 
 def coarsen_tables(labels, quads, num_classes: int, pairs):
-    """``coarsen`` on raw tables: the labels, quads and class count of an
-    MGTA with canonical part ids in, those of the coarsened MGTA out, with
-    no ``Partition`` or ``GlueAssignment`` built or validated.  The search
-    adopts its incumbents through this.
+    """The MGTA of the partition an MGTA coarsens to when each (a, b) of
+    ``pairs`` unites the parts with ids a and b, in one pass and without a
+    rebuild: the labels, quads and class count of an MGTA with canonical
+    part ids (its labels are its canonical signature, as ``build_mgta``
+    and this give them) in, those of the coarsened MGTA out, with no
+    ``Partition`` or ``GlueAssignment`` built or validated.  Pairs may
+    repeat, chain, or name parts that earlier pairs united; their ids are
+    not checked (``merge_tiles`` checks its pair).
 
     Uniting two parts identifies their N, E, S, W classes pairwise and
     nothing else, so a union-find over the part ids and one over the
@@ -304,19 +292,19 @@ def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
     p = f.partition
     if (p.m, p.n) != (grid.m, grid.n):
         raise ValueError("partition and grid dimensions differ")
-    tiles, seed_north, seed_east = tile_table(p.labels, f.glues, grid)
-    # Tile(*row) per part, built as the tuple subclass directly: what
-    # Tile._make does, without a Python frame per tile
-    tiles = tuple(map(tuple.__new__, repeat(Tile), tiles))
-    return TileSystem(grid.m, grid.n, tiles, seed_north, seed_east)
+    return named_tiles(tile_table(p.labels, f.glues, grid))
 
 
-def tile_table(labels, quads, grid: ColorGrid):
-    """``extract_tas`` on raw tables: the labels and quads of an MGTA over
-    ``grid``'s cells in, the tile system's rows out, as (tiles,
-    seed_north, seed_east) with each tile a plain (N, E, S, W, colour)
-    tuple.  The search verifies its incumbents on these rows and makes
-    ``Tile``s only for the systems it hands out.
+def named_tiles(system: TileSystem) -> TileSystem:
+    """``system`` with each tile row made a ``Tile``."""
+    return replace(system, tiles=tuple(map(Tile._make, system.tiles)))
+
+
+def tile_table(labels, quads, grid: ColorGrid) -> TileSystem:
+    """The tile system of an MGTA given as raw tables, its labels and
+    quads over ``grid``'s cells, with each tile a plain (N, E, S, W,
+    colour) tuple.  The search verifies its incumbents on this system and
+    hands it out through ``named_tiles``.
 
     One pass over the parts checks constructibility (no two parts share
     an (S, W) pair; the canonical scan runs only to name the first such
@@ -338,7 +326,10 @@ def tile_table(labels, quads, grid: ColorGrid):
         elif have != col:
             raise ValueError("partition does not respect the grid colouring")
     m = grid.m
-    tiles = tuple(map(add, quads, zip(part_color)))
-    seed_north = tuple([quads[lab][S] for lab in labels[:m]])
-    seed_east = tuple([quads[lab][W] for lab in labels[::m]])
-    return tiles, seed_north, seed_east
+    return TileSystem(
+        m,
+        grid.n,
+        tuple(map(add, quads, zip(part_color))),
+        tuple([quads[lab][S] for lab in labels[:m]]),
+        tuple([quads[lab][W] for lab in labels[::m]]),
+    )

@@ -62,16 +62,16 @@ the current partition, so the pass labels each cell by first occurrence
 of its part (canonical part order), taken from the merge records on the
 path, and, at each part's first cell, numbers the roots of its N, E, S,
 W edge nodes by first occurrence.  Both give exactly the labels and
-class ids ``build_mgta`` would give.  The tables still go through
-``tile_table``, with ``extract_tas``'s constructibility and colour
-checks, and its rows through the full simulation of ``verify_solution``,
-before ``best``, the trace, ``progress`` or ``on_incumbent`` hear of
-the incumbent.  It is then stored in one assignment, so a solve stopped
-at any point finds its last incumbent whole.
+class ids ``build_mgta`` would give.  ``tile_table`` turns the tables
+into the incumbent's tile system, checking constructibility and the
+colouring, and ``verify_solution`` simulates that system in full before
+``best``, the trace, ``progress`` or ``on_incumbent`` hear of the
+incumbent.  It is then stored in one assignment, so a solve stopped at
+any point finds its last incumbent whole.
 
-The public objects (a validated ``Partition``, its ``GlueAssignment``
-and, from ``extract_tas``, a ``TileSystem`` of ``Tile``s) are built from
-the stored tables only when a solution is handed out: at each
+The system handed out is the one simulated, its rows made ``Tile``s by
+``named_tiles``, together with a validated ``Partition`` of the stored
+labels.  Both are built only when a solution is handed out: at each
 ``on_incumbent`` call and once when ``solve`` returns.  A
 ``KeyboardInterrupt`` stops the walk like a cutoff, and ``solve`` hands
 out the last incumbent with ``interrupted`` set.
@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 from .atam import verify_solution
 from .keyindex import KeyIndex
-from .mgta import GlueAssignment, coarsen_tables, extract_tas, tile_table
+from .mgta import coarsen_tables, named_tiles, tile_table
 from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
@@ -91,7 +91,7 @@ from .tiles import TileSystem
 
 # Not called here: perfbench traces the layer calls made from this module
 # by wrapping these names, so they stay importable from it.
-from .mgta import build_mgta  # noqa: F401
+from .mgta import build_mgta, extract_tas  # noqa: F401
 from .partition import partition_from_labels  # noqa: F401
 
 # One isolated-vertex pick in this many departs from canonical scan order
@@ -410,7 +410,7 @@ class _Engine:
             labels, quads, num_classes = self._snapshot()
         size = len(quads)
         assert size == self.mn - len(path)
-        table = TileSystem(grid.m, grid.n, *tile_table(labels, quads, grid))
+        table = tile_table(labels, quads, grid)
         report = verify_solution(table, grid)
         if not report.ok:
             raise RuntimeError(
@@ -426,15 +426,11 @@ class _Engine:
             self.progress(self.merges, size)
 
     def _hand_out(self) -> tuple[TileSystem, Partition]:
-        """The last incumbent as public objects, each check in force: its
-        ``TileSystem`` of ``Tile``s from ``extract_tas``, which must be the
-        table that was simulated, and its validated ``Partition``."""
-        _, labels, quads, num_classes, table, _ = self.last
-        part = Partition(self.grid.m, self.grid.n, labels)
-        system = extract_tas(GlueAssignment(part, quads, num_classes), self.grid)
-        if system != table:
-            raise RuntimeError("internal error: the tile system handed out is not the one verified")
-        return system, part
+        """The last incumbent as public objects: the tile system that was
+        simulated, with ``Tile``s for its rows, and the validated
+        ``Partition`` of its labels."""
+        _, labels, _, _, table, _ = self.last
+        return named_tiles(table), Partition(self.grid.m, self.grid.n, labels)
 
     # -- the tree -----------------------------------------------------------
 

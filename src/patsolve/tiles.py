@@ -9,9 +9,11 @@ seed presents northward under column x, ``seed_east[y-1]`` the glue it
 presents eastward beside row y.
 
 A ``Tile`` is a named tuple ``(north, east, south, west, color)``:
-immutable, hashable, compared by its fields, and built cheaply enough
-for the search to make one per part of every incumbent.  Being a tuple,
-it also compares equal to the plain 5-tuple of its fields.
+immutable, hashable and compared by its fields.  Being a tuple, it also
+compares equal to the plain 5-tuple of its fields, and the functions
+here and in the simulator read tiles by position, so a system whose
+tiles are plain 5-tuples (as the search builds and verifies them) works
+with all of them.
 
 Text format::
 
@@ -70,10 +72,8 @@ def glue_strength(a: int, b: int) -> int:
 
 def emit_tileset(system: TileSystem) -> str:
     out = [f"tiles {len(system.tiles)} temperature {system.temperature}\n"]
-    for i, t in enumerate(system.tiles):
-        out.append(
-            f"tile {i} N={t.north} E={t.east} S={t.south} W={t.west} color={t.color}\n"
-        )
+    for i, (north, east, south, west, color) in enumerate(system.tiles):
+        out.append(f"tile {i} N={north} E={east} S={south} W={west} color={color}\n")
     for x in range(1, system.m + 1):
         out.append(f"seedS x={x} N={system.seed_north[x - 1]}\n")
     for y in range(1, system.n + 1):

@@ -1,16 +1,22 @@
+import dataclasses
+
+import pytest
 from hypothesis import event, example, given, settings
 
 from patsolve import (
     Assembly,
     Nondeterministic,
+    SolveConfig,
     SplitMix64,
     Stuck,
     Tile,
     TileSystem,
     UniqueTerminal,
+    emit_tileset,
     gen_binary_counter,
     gen_sierpinski,
     simulate,
+    solve,
     verify_solution,
 )
 from helpers import counter_color, counter_tas, sierpinski_color, sierpinski_tas, tile_systems
@@ -93,6 +99,23 @@ def test_growth_needs_both_supports():
     assert isinstance(result, Stuck)
     placed_sites = {(1, 1)}
     assert set(result.frontier).isdisjoint(placed_sites)
+
+
+PLAIN_ROW_USES = {
+    "simulate_rng": lambda system: simulate(system, rng=SplitMix64(0)),
+    "simulate_general_rule": lambda system: simulate(system, check_general_rule=True),
+    "emit_tileset": emit_tileset,
+}
+
+
+@pytest.mark.parametrize("use", sorted(PLAIN_ROW_USES))
+def test_plain_row_systems_work_everywhere(use):
+    # the search verifies systems whose tiles are plain 5-tuples, so every
+    # reader of a system takes them as it takes Tiles
+    system = solve(gen_sierpinski(3, 3), SolveConfig.exact()).best_system
+    plain = dataclasses.replace(system, tiles=tuple(map(tuple, system.tiles)))
+    assert all(type(t) is tuple for t in plain.tiles)
+    assert PLAIN_ROW_USES[use](plain) == PLAIN_ROW_USES[use](system)
 
 
 class TestVerifySolution:

@@ -8,12 +8,14 @@ it as the base of an attribute.  The exceptions are named below.
 import ast
 from pathlib import Path
 
+import patsolve.search
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # Imported for use from elsewhere, not by the module itself: a package's
 # __init__.py re-exports its modules' names (every __init__.py is skipped),
 # and perfbench traces these layer calls by wrapping them in patsolve.search.
-EXEMPT = {"src/patsolve/search.py": {"build_mgta", "partition_from_labels"}}
+EXEMPT = {"src/patsolve/search.py": {"build_mgta", "extract_tas", "partition_from_labels"}}
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
@@ -54,3 +56,24 @@ def test_no_unused_imports():
 def test_finds_an_unused_import():
     source = "import os.path\nfrom sys import path, argv as args\nprint(path)\n"
     assert unused_imports(source) == [("os", 1), ("args", 2)]
+
+
+def search_calls() -> set[str]:
+    """The keys of ``perfbench/run.py``'s ``SEARCH_CALLS``, read without
+    importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SEARCH_CALLS" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/run.py assigns no SEARCH_CALLS")
+
+
+def test_exempt_names_are_the_traced_search_calls():
+    # perfbench wraps each SEARCH_CALLS name in patsolve.search; a name
+    # dropped from search.py would fail only perfbench's own traced run
+    calls = search_calls()
+    assert EXEMPT["src/patsolve/search.py"] <= calls
+    missing = sorted(name for name in calls if not hasattr(patsolve.search, name))
+    assert not missing, missing

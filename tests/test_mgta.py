@@ -24,7 +24,7 @@ from patsolve import (
     UniqueTerminal,
     verify_solution,
 )
-from patsolve.mgta import coarsen
+from patsolve.mgta import coarsen_tables
 from helpers import small_grids
 
 
@@ -166,8 +166,8 @@ def united(p, pairs):
 
 
 class TestCoarsen:
-    """``coarsen`` and ``merge_tiles`` against a fresh ``build_mgta`` of the
-    coarsened partition, part ids and class ids included."""
+    """``coarsen_tables`` and ``merge_tiles`` against a fresh ``build_mgta``
+    of the coarsened partition, part ids and class ids included."""
 
     @settings(max_examples=300, deadline=None)
     @given(p=partitions(), data=st.data())
@@ -178,11 +178,12 @@ class TestCoarsen:
         # a chain a-b-c..., then its two ends and one part with itself,
         # each already one part by then
         pairs += list(zip(walk, walk[1:])) + [(walk[-1], walk[0]), (walk[0], walk[0])]
-        got = coarsen(build_mgta(p), pairs)
+        f = build_mgta(p)
+        labels, quads, num_classes = coarsen_tables(p.labels, f.glues, f.num_classes, pairs)
         want = build_mgta(united(p, pairs))
-        assert got.partition.labels == want.partition.labels
-        assert got.glues == want.glues
-        assert got.num_classes == want.num_classes
+        assert labels == want.partition.labels
+        assert quads == want.glues
+        assert num_classes == want.num_classes
 
     @settings(max_examples=300, deadline=None)
     @given(p=partitions(), data=st.data())

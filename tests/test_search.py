@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import sys
 from contextlib import ExitStack
@@ -584,9 +583,9 @@ HAND_OUT_CASES = {
 
 
 class TestHandOut:
-    """Incumbents are verified on raw tile tables; the public ``Tile``s,
-    ``GlueAssignment`` and validated ``Partition`` are built, through
-    ``extract_tas``, only for the solutions handed out."""
+    """Incumbents are verified on tile systems of plain rows.  A solution
+    is handed out as the system that was verified, with ``Tile``s for its
+    rows, and a validated ``Partition``, both built only then."""
 
     @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
     def test_on_incumbent_gets_the_verified_table(self, name):
@@ -617,36 +616,11 @@ class TestHandOut:
         assert not result.interrupted
 
     @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
-    def test_extract_tas_runs_only_at_hand_out(self, name):
+    def test_on_incumbent_leaves_the_search_unchanged(self, name):
         grid, cfg = HAND_OUT_CASES[name]
-        calls = []
-        real_extract = search_module.extract_tas
-
-        def counted_extract(f, g):
-            calls.append(f.partition.num_parts)
-            return real_extract(f, g)
-
-        with mock.patch.object(search_module, "extract_tas", counted_extract):
-            plain = solve(grid, cfg)
-            assert calls == [plain.best_size]
-            calls.clear()
-            handed = solve(grid, cfg, on_incumbent=lambda *args: None)
-        assert calls == [size for _, size in handed.trace] + [handed.best_size]
+        plain = solve(grid, cfg)
+        handed = solve(grid, cfg, on_incumbent=lambda *args: None)
         assert handed.trace == plain.trace
-
-    def test_the_handed_out_system_is_the_verified_one(self):
-        grid, cfg = HAND_OUT_CASES["random5x5"]
-        real_extract = search_module.extract_tas
-
-        def recoloured(f, g):
-            system = real_extract(f, g)
-            tile = system.tiles[0]
-            tiles = (tile._replace(color=1 - tile.color), *system.tiles[1:])
-            return dataclasses.replace(system, tiles=tiles)
-
-        with mock.patch.object(search_module, "extract_tas", recoloured):
-            with pytest.raises(RuntimeError, match="not the one verified"):
-                solve(grid, cfg)
 
 
 INTERRUPT_GRID = gen_random(16, 16, 2, 100)
