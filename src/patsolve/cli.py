@@ -15,14 +15,20 @@ files, failed verification), 2 on usage errors.  A ``solve`` stopped by
 SIGINT (Ctrl-C) writes its best verified tile set and its ``result``
 line (``optimal=false``) as usual and then exits 130; an interrupt
 before the first solution is verified, or in another subcommand, exits
-130 with nothing written.
+130 with nothing written.  ``solve --out`` writes a temporary file
+beside the target and moves it onto the target only once the tile set
+is in, so a solve that is killed (SIGTERM, SIGKILL) or fails leaves the
+target as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import shutil
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 from .atam import verify_solution
 from .pattern import (
@@ -50,6 +56,38 @@ def _open_out(path: str, buffering: int = -1):
         return open(path, "w", buffering, encoding="ascii")
     except OSError as exc:
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text file that is moved onto ``path`` when the block ends without
+    an exception: a temporary file in ``path``'s directory, renamed with
+    ``os.replace``.  Until then ``path`` is untouched, so a run that dies
+    first leaves it as it was (one that is killed may leave the temporary
+    file behind).  An unwritable ``path`` raises SystemExit at once."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not tail:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fh = open(tmp, "w", encoding="ascii")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write(path: str | None, text: str) -> None:
@@ -84,10 +122,11 @@ def _cmd_solve(args) -> int:
         )
     # the outputs are opened before the search, so an unwritable path fails
     # at once instead of after a long solve; the event stream is written a
-    # line at a time, so a reader sees each event when it happens
+    # line at a time, so a reader sees each event when it happens, and the
+    # tile set replaces --out only once it is written
     with ExitStack() as files:
         events = files.enter_context(_open_out(args.events, 1)) if args.events else None
-        out = files.enter_context(_open_out(args.out)) if args.out not in (None, "-") else None
+        out = files.enter_context(_replacing(args.out)) if args.out not in (None, "-") else None
         progress = None
         if events is not None:
             progress = lambda merges, best: events.write(
@@ -206,7 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument(
         "--report-every", type=_int_at_least(1), help="progress event every N merges"
     )
-    slv.add_argument("--out", help="write the best tile set here")
+    slv.add_argument(
+        "--out", help="write the best tile set here, replacing the file once it is written"
+    )
     slv.add_argument("--events", help="write the progress event stream here")
     slv.set_defaults(func=_cmd_solve)
 

@@ -19,34 +19,37 @@ order, so equal assignments have equal tables.
 
 Uniting parts of a partition only identifies their side classes
 pairwise, so the MGTA of a coarsening follows from the finer one's
-without a rebuild: ``coarsen_tables`` unites part ids and class ids and
-renumbers both, and ``merge_tiles`` is one call of it.
+without a rebuild: ``coarsen_rows`` unites part ids and class ids and
+renumbers the classes of the rows that stay, and ``merge_tiles`` is one
+call of it.  It works on tile rows, (N, E, S, W, colour) with canonical
+part and class ids, so the search coarsens the verified tile system of
+its last incumbent itself; uniting two parts of different colours
+raises.
 
 A partition is constructible, i.e. some deterministic tile system
 assembles exactly it, iff no two parts of its MGTA share both their
 south and west classes.  (Two parts with equal full quadruples are a
-special case.)  ``tile_table`` turns a constructible assignment over a
-colour-respecting partition into the concrete tile system.
-
-``coarsen_tables`` and ``tile_table`` work on raw tables (labels,
-quads, class count) and build no ``Partition`` or ``GlueAssignment``,
-which is how the search adopts its incumbents.  ``tile_table``'s system
-holds its tiles as plain 5-tuples; ``named_tiles`` makes them
-``Tile``s, and ``extract_tas`` is the two on a ``GlueAssignment``.
+special case.)  ``check_constructible`` is that test, on quads or tile
+rows.  ``tile_table`` turns a constructible assignment over a
+colour-respecting partition, given as raw tables (labels, quads), into
+the concrete tile system, with its tiles as plain 5-tuples;
+``named_tiles`` makes them ``Tile``s, and ``extract_tas`` is the two on
+a ``GlueAssignment``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 
-from .partition import Partition, canonical_signature, cell_index
+from .partition import Partition, canonical_signature, cell_index, merge_parts
 from .pattern import ColorGrid
 from .tiles import Tile, TileSystem
 
 # side slot offsets within a cell
 N, E, S, W = 0, 1, 2, 3
+_south_west = itemgetter(S, W)
 
 
 def grid_adjacencies(m: int, n: int) -> list[tuple[int, int, int]]:
@@ -177,32 +180,41 @@ def _canonicalize(p: Partition, raw_quads: dict) -> GlueAssignment:
 def merge_tiles(f: GlueAssignment, p1: int, p2: int) -> GlueAssignment:
     """The MGTA after uniting parts p1 and p2: their four side classes are
     identified pairwise.  Equals build_mgta(merge_parts(P, p1, p2)), with
-    canonical part ids.  ``coarsen_tables`` does the work on the canonical
-    signature and quads, whatever the part ids of ``f``."""
+    canonical part ids.  ``coarsen_rows`` does the work on the canonical
+    quads, whatever the part ids of ``f``; an assignment has no colours,
+    so its rows all get colour 0."""
     p = f.partition
     k = p.num_parts
     if not (0 <= p1 < k and 0 <= p2 < k):
         raise ValueError(f"unknown part id in merge: {p1}, {p2}")
     if p1 == p2:
         raise ValueError("cannot merge a part with itself")
-    signature = canonical_signature(p)
-    canonical_id = dict(zip(p.labels, signature))
-    pair = (canonical_id[p1], canonical_id[p2])
-    labels, quads, num_classes = coarsen_tables(
-        signature, f.canonical_quads, f.num_classes, (pair,)
+    canonical_id = dict(zip(p.labels, canonical_signature(p)))
+    _, _, rows, num_classes = coarsen_rows(
+        [(*quad, 0) for quad in f.canonical_quads],
+        f.num_classes,
+        ((canonical_id[p1], canonical_id[p2]),),
     )
-    return GlueAssignment(Partition(p.m, p.n, labels), quads, num_classes)
+    quads = tuple([row[:4] for row in rows])
+    return GlueAssignment(merge_parts(p, p1, p2), quads, num_classes)
 
 
-def coarsen_tables(labels, quads, num_classes: int, pairs):
-    """The MGTA of the partition an MGTA coarsens to when each (a, b) of
-    ``pairs`` unites the parts with ids a and b, in one pass and without a
-    rebuild: the labels, quads and class count of an MGTA with canonical
-    part ids (its labels are its canonical signature, as ``build_mgta``
-    and this give them) in, those of the coarsened MGTA out, with no
-    ``Partition`` or ``GlueAssignment`` built or validated.  Pairs may
-    repeat, chain, or name parts that earlier pairs united; their ids are
-    not checked (``merge_tiles`` checks its pair).
+def coarsen_rows(rows, num_classes: int, pairs):
+    """The tile rows of the MGTA that an MGTA coarsens to when each (a, b)
+    of ``pairs`` unites the parts with ids a and b, in one pass and
+    without a rebuild.  ``rows`` holds one (N, E, S, W, colour) row per
+    part id, canonical ids in both (part id i is the i-th part in
+    canonical order, its classes numbered by first occurrence), and
+    ``num_classes`` is its class count.  Pairs may repeat, chain, or name
+    parts that earlier pairs united; their ids are not checked
+    (``merge_tiles`` checks its pair).  Raises ValueError when a pair
+    unites two parts of different colours: a tile has one colour.
+
+    Returns the united-away part ids in descending order, the rank of
+    each old class id among the new ones, the new rows and the new class
+    count.  Row i of the result is the part of the i-th smallest id that
+    stayed, so deleting the united-away ids, in the order given, from any
+    list indexed by the old part ids lines it up with the new rows.
 
     Uniting two parts identifies their N, E, S, W classes pairwise and
     nothing else, so a union-find over the part ids and one over the
@@ -212,10 +224,8 @@ def coarsen_tables(labels, quads, num_classes: int, pairs):
     part's first cell is its smallest id's first cell, and a class
     first occurs in no part that was united away, because that part's
     sides are identified with those of the part of smaller id it joined.
-    The labels are renumbered by ``map`` over the part ranks, and the
-    quads of the surviving parts by one list comprehension that unpacks
-    each quad against the class ranks; the new labels are compact by
-    construction.
+    The rows that stay are renumbered by one list comprehension that
+    unpacks each row against the class ranks.
     """
     up: dict[int, int] = {}  # united-away part id -> smaller part id
     glue_up: dict[int, int] = {}  # likewise for class ids
@@ -228,8 +238,11 @@ def coarsen_tables(labels, quads, num_classes: int, pairs):
             continue  # already one part, so its sides are already one
         if b < a:
             a, b = b, a
+        row_a, row_b = rows[a], rows[b]
+        if row_a[4] != row_b[4]:
+            raise ValueError(f"parts {a} and {b} have different colours")
         up[b] = a
-        for g, h in zip(quads[a], quads[b]):
+        for g, h in zip(row_a[:4], row_b[:4]):
             while g in glue_up:
                 g = glue_up[g]
             while h in glue_up:
@@ -239,13 +252,13 @@ def coarsen_tables(labels, quads, num_classes: int, pairs):
                     g, h = h, g
                 glue_up[h] = g
 
-    new_labels = tuple(map(_ranks(up, len(quads)).__getitem__, labels))
-    kept = list(quads)
-    for q in sorted(up, reverse=True):
+    gone = sorted(up, reverse=True)
+    kept = list(rows)
+    for q in gone:
         del kept[q]
     r = _ranks(glue_up, num_classes)
-    new_quads = tuple([(r[a], r[b], r[c], r[d]) for a, b, c, d in kept])
-    return new_labels, new_quads, num_classes - len(glue_up)
+    new_rows = tuple([(r[a], r[b], r[c], r[d], col) for a, b, c, d, col in kept])
+    return gone, r, new_rows, num_classes - len(glue_up)
 
 
 def _ranks(up: dict[int, int], size: int) -> list[int]:
@@ -268,14 +281,29 @@ def _ranks(up: dict[int, int], size: int) -> list[int]:
 def constructibility(f: GlueAssignment) -> Constructibility:
     """Determinism check: scan parts in canonical order for two parts with
     equal (S, W) class pairs."""
-    return Constructibility(conflict=_sw_conflict(f.partition.labels, f.glues))
+    order = _canonical_part_order(f.partition.labels)
+    return Constructibility(conflict=_sw_conflict(order, f.glues))
 
 
-def _sw_conflict(labels, quads) -> tuple[int, int] | None:
-    """The first two part ids, in canonical part order, whose quads share
-    their (S, W) classes, or None."""
+def check_constructible(rows, labels=None) -> None:
+    """Raise ValueError when two of ``rows`` (quads, or tile rows that start
+    with their quad) share their (S, W) classes, naming the first such
+    pair in canonical part order: that of ``labels``, or the order of
+    the rows when they are in canonical part order already.  The test is
+    one set of the pairs; the canonical scan runs only to name the pair."""
+    if len(set(map(_south_west, rows))) < len(rows):
+        order = range(len(rows)) if labels is None else _canonical_part_order(labels)
+        raise ValueError(
+            f"partition is not constructible: parts {_sw_conflict(order, rows)} "
+            "share S and W"
+        )
+
+
+def _sw_conflict(order, quads) -> tuple[int, int] | None:
+    """The first two part ids of ``order`` whose quads share their (S, W)
+    classes, or None."""
     seen: dict[tuple[int, int], int] = {}
-    for lab in _canonical_part_order(labels):
+    for lab in order:
         key = (quads[lab][S], quads[lab][W])
         other = seen.get(key)
         if other is not None:
@@ -303,21 +331,15 @@ def named_tiles(system: TileSystem) -> TileSystem:
 def tile_table(labels, quads, grid: ColorGrid) -> TileSystem:
     """The tile system of an MGTA given as raw tables, its labels and
     quads over ``grid``'s cells, with each tile a plain (N, E, S, W,
-    colour) tuple.  The search verifies its incumbents on this system and
-    hands it out through ``named_tiles``.
+    colour) tuple, which ``named_tiles`` makes ``Tile``s.
 
-    One pass over the parts checks constructibility (no two parts share
-    an (S, W) pair; the canonical scan runs only to name the first such
-    pair), and one pass over the cells gives each part its colour while
+    ``check_constructible`` checks that no two parts share an (S, W)
+    pair, and one pass over the cells gives each part its colour while
     checking that the partition respects the grid's colouring (refines
     the colour partition), since otherwise no single colour per tile
     exists.  Raises ValueError when either check fails.
     """
-    if len({(s, w) for _, _, s, w in quads}) < len(quads):
-        raise ValueError(
-            f"partition is not constructible: parts {_sw_conflict(labels, quads)} "
-            "share S and W"
-        )
+    check_constructible(quads, labels)
     part_color: list[int | None] = [None] * len(quads)
     for lab, col in zip(labels, grid.cells):
         have = part_color[lab]

@@ -48,42 +48,51 @@ The isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
 rest of the walk; the random draws are the same either way.
 
-Adopting an incumbent rebuilds nothing and builds no public object.
-Most incumbents lie below the last one on the same path, a merge or a
-few deeper, so their MGTA is that of the last incumbent coarsened by the
-merges since: the engine keeps the last incumbent's last merge record
-and its MGTA as raw tables (labels, quads, class count), and when that
-record is still on the path at the incumbent's depth (an identity test,
-so undo keeps no extra books) ``coarsen_tables`` unites the old part ids
-of the new merges' anchors.  Otherwise (the root, and incumbents found
-after backtracking) ``_snapshot`` reads the tables off the engine in one
-pass over the cells: the union-find's classes already are the MGTA of
-the current partition, so the pass labels each cell by first occurrence
-of its part (canonical part order), taken from the merge records on the
-path, and, at each part's first cell, numbers the roots of its N, E, S,
-W edge nodes by first occurrence.  Both give exactly the labels and
-class ids ``build_mgta`` would give.  ``tile_table`` turns the tables
-into the incumbent's tile system, checking constructibility and the
-colouring, and ``verify_solution`` simulates that system in full before
-``best``, the trace, ``progress`` or ``on_incumbent`` hear of the
-incumbent.  It is then stored in one assignment, so a solve stopped at
-any point finds its last incumbent whole.
+Adopting an incumbent rebuilds nothing and carries no per-cell labels.
+The engine keeps the last incumbent's last merge record, its ascending
+part anchors, the tile system ``verify_solution`` simulated for it
+(plain rows: ``row[:4]`` is a part's MGTA quad, ``row[4]`` its colour,
+in canonical part order) and its class count.  Most incumbents lie below
+the last one on the same path, a merge or a few deeper, so their tile
+system is the last one coarsened by the merges since.  When that record
+is still on the path at the incumbent's depth (an identity test, so undo
+keeps no extra books), each new merge record's ``lo`` and ``hi`` are
+found among the anchors by bisection, since a merge keeps its smaller
+anchor and every later anchor was one already, and ``coarsen_rows``
+unites those part ids and their classes, raising when a united pair's
+colours differ, and renumbers the rows; the seed glues take the same
+class ranks.  Since the last system passed the colour check, that is
+the same check as a per-cell one.  Otherwise (the root, and incumbents
+found after backtracking) ``_snapshot`` reads the rows off the engine:
+the union-find's classes already are the MGTA of the current partition,
+so a walk of the live list (canonical part order) numbers the roots of
+each anchor's N, E, S, W edge nodes by first occurrence, the seed glues
+are the classes of the border nodes, and each merge record on the path
+is checked to unite cells of one colour.  Both give exactly the class
+ids ``build_mgta`` would give.  ``check_constructible`` then tests the
+rows for a shared (S, W) pair, and ``verify_solution`` simulates the
+system in full before ``best``, the trace, ``progress`` or
+``on_incumbent`` hear of the incumbent.  It is then stored in one
+assignment, so a solve stopped at any point finds its last incumbent
+whole.
 
 The system handed out is the one simulated, its rows made ``Tile``s by
-``named_tiles``, together with a validated ``Partition`` of the stored
-labels.  Both are built only when a solution is handed out: at each
-``on_incumbent`` call and once when ``solve`` returns.  A
-``KeyboardInterrupt`` stops the walk like a cutoff, and ``solve`` hands
-out the last incumbent with ``interrupted`` set.
+``named_tiles``, together with a validated ``Partition`` whose part ids
+are the tile ids of that system's assembly.  Both are built only when a
+solution is handed out: at each ``on_incumbent`` call and once when
+``solve`` returns.  A ``KeyboardInterrupt`` stops the walk like a
+cutoff, and ``solve`` hands out the last incumbent with ``interrupted``
+set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .atam import verify_solution
+from .atam import simulate, verify_solution
 from .keyindex import KeyIndex
-from .mgta import coarsen_tables, named_tiles, tile_table
+from .mgta import check_constructible, coarsen_rows, named_tiles
 from .partition import Partition
 from .pattern import ColorGrid
 from .rng import SplitMix64
@@ -243,9 +252,9 @@ class _Engine:
         self.merges = 0
         self.best = mn + 1
         # the last, so the best, incumbent: (last merge record or None,
-        # labels, quads, class count, verified tile table, trace).  Holding
-        # the record keeps its identity unique, and a record taken off the
-        # path is never pushed again.
+        # ascending part anchors, verified tile system, class count,
+        # trace).  Holding the record keeps its identity unique, and a
+        # record taken off the path is never pushed again.
         self.last: tuple | None = None
 
         self.path: list[tuple] = []  # merge records of the current path
@@ -337,26 +346,45 @@ class _Engine:
         if re is not None and self.merges % re == 0 and self.progress is not None:
             self.progress(self.merges, self.best)
 
-    def _snapshot(self):
-        """The current partition's MGTA as (labels, quads, class count), in
-        one pass over the cells (see the module docstring).  Each merge
-        record on the path links its ``hi`` to a smaller cell of its part,
-        ``lo``, whose label it takes; each anchor takes the next label (the
-        canonical signature) and supplies its part's edge roots, numbered by
-        first occurrence in N, E, S, W order as ``build_mgta`` does."""
-        p, m, wb, east = self.parent, self.grid.m, self.wbase, self.east
+    def _labels(self) -> tuple[int, ...]:
+        """The current partition's canonical signature.  Each merge record
+        on the path links its ``hi`` to a smaller cell of its part, ``lo``,
+        whose label it takes; each anchor takes the next label."""
         up = list(range(self.mn))
         for rec in self.path:
             up[rec[2]] = rec[1]
-        glue_ids: dict[int, int] = {}
-        glue_id = glue_ids.setdefault
-        labels = []
-        quads = []
+        labels: list[int] = []
+        parts = 0
         for c, u in enumerate(up):
             if u != c:
                 labels.append(labels[u])
-                continue
-            labels.append(len(quads))
+            else:
+                labels.append(parts)
+                parts += 1
+        return tuple(labels)
+
+    def _snapshot(self):
+        """The current partition's tile system read off the engine, as
+        (ascending part anchors, ``TileSystem`` of plain rows, class count);
+        see the module docstring.  The live list gives the anchors in
+        canonical part order; each anchor supplies its part's colour and
+        edge roots, numbered by first occurrence in N, E, S, W order as
+        ``build_mgta`` does, and the seed glues are the classes of the
+        border nodes.  Raises ValueError when a merge on the path united
+        cells of different colours."""
+        p, m, wb, east, nxt = self.parent, self.grid.m, self.wbase, self.east, self.nxt
+        mn = self.mn
+        colors = self.grid.cells
+        for rec in self.path:
+            if colors[rec[1]] != colors[rec[2]]:
+                raise ValueError("partition does not respect the grid colouring")
+        glue_ids: dict[int, int] = {}
+        glue_id = glue_ids.setdefault
+        anchors = []
+        rows = []
+        c = nxt[mn]
+        while c != mn:
+            anchors.append(c)
             north = c + m
             while p[north] != north:
                 north = p[north]
@@ -369,16 +397,31 @@ class _Engine:
             west = wb + c
             while p[west] != west:
                 west = p[west]
-            quads.append((
+            rows.append((
                 glue_id(north, len(glue_ids)),
                 glue_id(e, len(glue_ids)),
                 glue_id(south, len(glue_ids)),
                 glue_id(west, len(glue_ids)),
+                colors[c],
             ))
-        return tuple(labels), tuple(quads), len(glue_ids)
+            c = nxt[c]
+
+        def glue_of(node: int) -> int:
+            while p[node] != node:
+                node = p[node]
+            return glue_ids[node]
+
+        table = TileSystem(
+            m,
+            self.grid.n,
+            tuple(rows),
+            tuple([glue_of(x) for x in range(m)]),  # S of the bottom row
+            tuple([glue_of(wb + c) for c in range(0, mn, m)]),  # W of the first column
+        )
+        return anchors, table, len(glue_ids)
 
     def _observe(self, constructible: bool) -> None:
-        labels = self._snapshot()[0]
+        labels = self._labels()
         anchors: list[int] = []
         for c, lab in enumerate(labels):
             if lab == len(anchors):
@@ -397,28 +440,40 @@ class _Engine:
 
     def _adopt_incumbent(self) -> None:
         """Adopt the current node, of fewer parts than ``best``, as the
-        incumbent, on raw tables (see the module docstring).  The last one,
-        of ``best`` parts, sat m*n - best merges deep."""
+        incumbent, on its tile rows (see the module docstring).  The last
+        one, of ``best`` parts, sat m*n - best merges deep."""
         path, last, grid = self.path, self.last, self.grid
         depth = self.mn - self.best
         if last is not None and (not depth or path[depth - 1] is last[0]):
             # below the last incumbent, whose path is still a prefix of ours
-            labels = last[1]
-            pairs = [(labels[r[1]], labels[r[2]]) for r in path[depth:]]
-            labels, quads, num_classes = coarsen_tables(labels, last[2], last[3], pairs)
+            _, anchors, table, num_classes, _ = last
+            pairs = [
+                (bisect_left(anchors, r[1]), bisect_left(anchors, r[2])) for r in path[depth:]
+            ]
+            gone, ranks, rows, num_classes = coarsen_rows(table.tiles, num_classes, pairs)
+            anchors = anchors.copy()
+            for q in gone:
+                del anchors[q]
+            table = TileSystem(
+                grid.m,
+                grid.n,
+                rows,
+                tuple([ranks[g] for g in table.seed_north]),
+                tuple([ranks[g] for g in table.seed_east]),
+            )
         else:
-            labels, quads, num_classes = self._snapshot()
-        size = len(quads)
+            anchors, table, num_classes = self._snapshot()
+        check_constructible(table.tiles)
+        size = len(anchors)
         assert size == self.mn - len(path)
-        table = tile_table(labels, quads, grid)
         report = verify_solution(table, grid)
         if not report.ok:
             raise RuntimeError(
                 f"internal error: incumbent of size {size} failed "
                 f"verification: {report.failure}"
             )
-        trace = (*last[5], (self.merges, size)) if last is not None else ((self.merges, size),)
-        self.last = (path[-1] if path else None, labels, quads, num_classes, table, trace)
+        trace = (*last[4], (self.merges, size)) if last is not None else ((self.merges, size),)
+        self.last = (path[-1] if path else None, anchors, table, num_classes, trace)
         self.best = size
         if self.on_incumbent is not None:
             self.on_incumbent(self.merges, size, *self._hand_out())
@@ -428,8 +483,10 @@ class _Engine:
     def _hand_out(self) -> tuple[TileSystem, Partition]:
         """The last incumbent as public objects: the tile system that was
         simulated, with ``Tile``s for its rows, and the validated
-        ``Partition`` of its labels."""
-        _, labels, _, _, table, _ = self.last
+        ``Partition`` whose part ids are the tile ids of that system's
+        assembly (its rows are in canonical part order)."""
+        table = self.last[2]
+        labels = simulate(table).assembly.tiles
         return named_tiles(table), Partition(self.grid.m, self.grid.n, labels)
 
     # -- the tree -----------------------------------------------------------
@@ -629,7 +686,7 @@ def solve(
             raise  # stopped before the first incumbent was verified
         proven, interrupted = False, True
     system, part = engine._hand_out()
-    trace = engine.last[5]
+    trace = engine.last[4]
     return SolveResult(
         best_size=trace[-1][1],
         best_system=system,

@@ -235,6 +235,38 @@ class TestSolve:
         code, verified, _ = run(capsys, "verify", "--pattern", str(pat), "--tiles", str(tiles))
         assert code == 0 and verified.startswith("verify: OK")
 
+    def test_sigterm_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys):
+        # the tile set replaces --out only once it is written, so a solve
+        # killed mid-search leaves the file that stood there before
+        pat = tmp_path / "pat.txt"
+        tiles = tmp_path / "tiles.txt"
+        events = tmp_path / "events.txt"
+        run(capsys, "generate", "--type", "random", "--m", "16", "--n", "16",
+            "--seed", "100", "--out", str(pat))
+        run(capsys, "solve", "--pattern", str(pat), "--cutoff", "50", "--out", str(tiles))
+        before = tiles.read_bytes()
+        src = Path(patsolve.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patsolve.cli", "solve", "--pattern", str(pat),
+             "--cutoff", "100000000", "--out", str(tiles), "--events", str(events)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (events.exists() and "event " in events.read_text()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGTERM
+        assert tiles.read_bytes() == before
+        code, verified, _ = run(capsys, "verify", "--pattern", str(pat), "--tiles", str(tiles))
+        assert code == 0 and verified.startswith("verify: OK")
+
     def test_huge_header_short_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2000000000 1 2\n0 1\n")

@@ -24,7 +24,7 @@ from patsolve import (
     UniqueTerminal,
     verify_solution,
 )
-from patsolve.mgta import coarsen_tables
+from patsolve.mgta import check_constructible, coarsen_rows
 from helpers import small_grids
 
 
@@ -165,25 +165,98 @@ def united(p, pairs):
     return partition_from_labels(p.m, p.n, [find(lab) for lab in p.labels])
 
 
+def anchors_of(p):
+    """The first cell of each part of ``p``, in canonical part order."""
+    first = {}
+    for c, lab in enumerate(p.labels):
+        first.setdefault(lab, c)
+    return sorted(first.values())
+
+
 class TestCoarsen:
-    """``coarsen_tables`` and ``merge_tiles`` against a fresh ``build_mgta``
+    """``coarsen_rows`` and ``merge_tiles`` against a fresh ``build_mgta``
     of the coarsened partition, part ids and class ids included."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(p=partitions(), data=st.data())
-    def test_matches_rebuild(self, p, data):
+    @staticmethod
+    def chained_pairs(p, data):
         ids = st.integers(0, p.num_parts - 1)
         pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=5))
         walk = data.draw(st.lists(ids, min_size=1, max_size=4))
         # a chain a-b-c..., then its two ends and one part with itself,
         # each already one part by then
-        pairs += list(zip(walk, walk[1:])) + [(walk[-1], walk[0]), (walk[0], walk[0])]
+        return pairs + list(zip(walk, walk[1:])) + [(walk[-1], walk[0]), (walk[0], walk[0])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions(), data=st.data())
+    def test_matches_rebuild(self, p, data):
+        pairs = self.chained_pairs(p, data)
         f = build_mgta(p)
-        labels, quads, num_classes = coarsen_tables(p.labels, f.glues, f.num_classes, pairs)
+        rows = [(*quad, 7) for quad in f.glues]
+        gone, ranks, new_rows, num_classes = coarsen_rows(rows, f.num_classes, pairs)
         want = build_mgta(united(p, pairs))
-        assert labels == want.partition.labels
-        assert quads == want.glues
+        assert new_rows == tuple((*quad, 7) for quad in want.glues)
         assert num_classes == want.num_classes
+        # dropping the united-away ids lines the old parts' anchors up
+        # with the new parts, and the ranks renumber every old class
+        assert gone == sorted(gone, reverse=True)
+        anchors = anchors_of(p)
+        for q in gone:
+            del anchors[q]
+        assert anchors == anchors_of(want.partition)
+        for old_part, new_part in zip(p.labels, want.partition.labels):
+            assert tuple(ranks[g] for g in f.glues[old_part]) == want.glues[new_part]
+
+    def test_uniting_two_colours_raises(self):
+        # a united part is one tile, so all the parts it unites need one colour
+        seen = {"mixed": 0, "one colour": 0}
+
+        @settings(max_examples=300, deadline=None)
+        @given(p=partitions(), data=st.data())
+        def check(p, data):
+            pairs = self.chained_pairs(p, data)
+            colours = data.draw(
+                st.lists(st.integers(0, 2), min_size=p.num_parts, max_size=p.num_parts)
+            )
+            f = build_mgta(p)
+            rows = [(*quad, col) for quad, col in zip(f.glues, colours)]
+            whole = united(p, pairs)
+            part_colours = [set() for _ in range(whole.num_parts)]
+            for old, new in zip(p.labels, whole.labels):
+                part_colours[new].add(colours[old])
+            if any(len(cols) > 1 for cols in part_colours):
+                seen["mixed"] += 1
+                with pytest.raises(ValueError, match="different colours"):
+                    coarsen_rows(rows, f.num_classes, pairs)
+            else:
+                seen["one colour"] += 1
+                coarsen_rows(rows, f.num_classes, pairs)
+
+        check()
+        assert all(seen.values()), seen
+
+    def test_derived_rows_are_checked_like_a_rebuild(self):
+        # check_constructible on coarsened rows, which are in canonical part
+        # order, names the pair constructibility() names on a rebuild
+        seen = {"constructible": 0, "conflict": 0}
+
+        @settings(max_examples=300, deadline=None)
+        @given(p=partitions(), data=st.data())
+        def check(p, data):
+            pairs = self.chained_pairs(p, data)
+            f = build_mgta(p)
+            rows = coarsen_rows([(*quad, 0) for quad in f.glues], f.num_classes, pairs)[2]
+            verdict = constructibility(build_mgta(united(p, pairs)))
+            if verdict.is_constructible:
+                seen["constructible"] += 1
+                check_constructible(rows)
+            else:
+                seen["conflict"] += 1
+                a, b = verdict.conflict
+                with pytest.raises(ValueError, match=rf"parts \({a}, {b}\) share S and W"):
+                    check_constructible(rows)
+
+        check()
+        assert all(seen.values()), seen
 
     @settings(max_examples=300, deadline=None)
     @given(p=partitions(), data=st.data())

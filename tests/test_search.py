@@ -457,22 +457,27 @@ def solve_with_adoption_check(grid, cfg, check, **options):
 
 
 class TestIncumbentAssignment:
-    """The engine reads each incumbent's glue assignment off its own
-    edge-node union-find, or derives it from the last one's, as raw
-    tables.  build_mgta computes the same assignment from the partition
-    alone; the two must agree on every incumbent, class ids included, and
-    the tile table the engine verified must be extract_tas's on it."""
+    """The engine reads each incumbent's tile rows off its own edge-node
+    union-find, or derives them from the last one's, with the class
+    count.  build_mgta computes the same assignment from the partition
+    alone; the two must agree on every incumbent, class ids included, the
+    tile system the engine verified must be extract_tas's on it, and the
+    partition handed out must be the engine's."""
 
     @staticmethod
     def solve_checked(grid, cfg):
         checked = []
 
         def check(engine):
-            _, labels, quads, num_classes, table, _ = engine.last
-            ref = build_mgta(Partition(grid.m, grid.n, labels))
-            assert quads == ref.glues
+            _, anchors, table, num_classes, _ = engine.last
+            part = Partition(grid.m, grid.n, engine._labels())  # the engine's
+            ref = build_mgta(part)
+            assert tuple(row[:4] for row in table.tiles) == ref.glues
             assert num_classes == ref.num_classes
             assert table == extract_tas(ref, grid)
+            assert anchors == [part.labels.index(i) for i in range(part.num_parts)]
+            handed = engine._hand_out()[1]
+            assert handed == part and handed.labels == part.labels
             checked.append(table)
 
         result = solve_with_adoption_check(grid, cfg, check)
@@ -500,15 +505,15 @@ class TestIncumbentAssignment:
 
 
 def solve_checking_adoption(grid, cfg):
-    """Solve with each adopted incumbent's tables compared with
-    ``_snapshot()`` of the engine state it is adopted at (labels, class ids
-    and class count), and its stored tile table checked to be the one
-    ``verify_solution`` simulated.  Returns the result and how many
-    incumbents ``coarsen_tables`` derived and how many were snapshotted
-    after the root's."""
+    """Solve with each adopted incumbent's anchors, tile system and class
+    count compared with ``_snapshot()`` of the engine state it is adopted
+    at, its stored tile system checked to be the one ``verify_solution``
+    simulated, and the partition it hands out checked to be the engine's.
+    Returns the result and how many incumbents ``coarsen_rows`` derived
+    and how many were snapshotted after the root's."""
     counts = {"adopted": 0, "derived": 0}
     simulated = []
-    real_coarsen, real_verify = search_module.coarsen_tables, search_module.verify_solution
+    real_coarsen, real_verify = search_module.coarsen_rows, search_module.verify_solution
 
     def counted_coarsen(*args):
         counts["derived"] += 1
@@ -519,15 +524,16 @@ def solve_checking_adoption(grid, cfg):
         return real_verify(system, g)
 
     def check(engine):
-        labels, quads, num_classes = engine._snapshot()
-        assert engine.last[1] == labels
-        assert engine.last[2] == quads
+        anchors, table, num_classes = engine._snapshot()
+        assert engine.last[1] == anchors
+        assert engine.last[2] == table
         assert engine.last[3] == num_classes
-        assert engine.last[4] is simulated[-1]
+        assert engine.last[2] is simulated[-1]
+        assert engine._hand_out()[1].labels == engine._labels()
         counts["adopted"] += 1
 
     with ExitStack() as patches:
-        patches.enter_context(mock.patch.object(search_module, "coarsen_tables", counted_coarsen))
+        patches.enter_context(mock.patch.object(search_module, "coarsen_rows", counted_coarsen))
         patches.enter_context(mock.patch.object(search_module, "verify_solution", recorded_verify))
         result = solve_with_adoption_check(grid, cfg, check)
     assert counts["adopted"] == len(result.trace)
@@ -546,10 +552,10 @@ ADOPTION_WORKLOADS = {
 
 
 class TestIncumbentDerivation:
-    """An incumbent below the last one on the search path has its MGTA
-    derived by ``coarsen_tables`` from the last one's; any other is read off the
-    engine by ``_snapshot``.  The derived assignment must be the snapshot
-    exactly, and each workload must take both paths."""
+    """An incumbent below the last one on the search path has its tile
+    system derived by ``coarsen_rows`` from the last one's; any other is
+    read off the engine by ``_snapshot``.  The derived system must be the
+    snapshot exactly, and each workload must take both paths."""
 
     @pytest.mark.parametrize("name", sorted(ADOPTION_WORKLOADS))
     def test_workloads(self, name):
@@ -573,6 +579,30 @@ class TestIncumbentDerivation:
 
         check()
         assert all(seen.values()), seen
+
+    def test_derived_rows_sharing_s_and_w_raise(self):
+        # a derived incumbent whose rows share an (S, W) pair is refused
+        # before it is simulated: here the derived rows get a copy of the
+        # first row's S and W in their last row
+        real_coarsen = search_module.coarsen_rows
+
+        def clashing(*args):
+            gone, ranks, rows, num_classes = real_coarsen(*args)
+            n, e, _, _, col = rows[-1]
+            return gone, ranks, (*rows[:-1], (n, e, rows[0][2], rows[0][3], col)), num_classes
+
+        with mock.patch.object(search_module, "coarsen_rows", clashing):
+            with pytest.raises(ValueError, match=r"^partition is not constructible: parts "):
+                solve(gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0))
+
+    def test_snapshot_checks_the_colouring_per_merge(self):
+        # a merge record that unites cells of two colours fails the snapshot
+        grid = ColorGrid(2, 2, 2, (0, 1, 1, 0))
+        engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
+        engine._snapshot()
+        engine.path.append(engine._apply_merge(0, 1, 0))
+        with pytest.raises(ValueError, match="grid colouring"):
+            engine._snapshot()
 
 
 HAND_OUT_CASES = {
