@@ -17,8 +17,9 @@ line (``optimal=false``) as usual and then exits 130; an interrupt
 before the first solution is verified, or in another subcommand, exits
 130 with nothing written.  ``solve --out`` writes a temporary file
 beside the target and moves it onto the target only once the tile set
-is in, so a solve that is killed (SIGTERM, SIGKILL) or fails leaves the
-target as it was.
+is in, so a solve that is killed or fails leaves the target as it was.
+A SIGTERM unwinds the solve, which removes the temporary file, and then
+ends the process by SIGTERM; only a SIGKILL leaves the file behind.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import errno
 import os
 import shutil
+import signal
 import sys
 from contextlib import ExitStack, contextmanager
 
@@ -58,13 +60,24 @@ def _open_out(path: str, buffering: int = -1):
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
 
 
+class _Terminated(BaseException):
+    """Raised by a SIGTERM while ``--out`` is being replaced, so that the
+    temporary file is removed on the way out; ``main`` then ends the
+    process by SIGTERM."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 @contextmanager
 def _replacing(path: str):
     """A text file that is moved onto ``path`` when the block ends without
     an exception: a temporary file in ``path``'s directory, renamed with
     ``os.replace``.  Until then ``path`` is untouched, so a run that dies
-    first leaves it as it was (one that is killed may leave the temporary
-    file behind).  An unwritable ``path`` raises SystemExit at once."""
+    first leaves it as it was, and the temporary file is removed on any
+    exception, a SIGTERM included (only a SIGKILL leaves it behind).  An
+    unwritable ``path`` raises SystemExit at once."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
@@ -77,6 +90,7 @@ def _replacing(path: str):
         fh = open(tmp, "w", encoding="ascii")
     except OSError as exc:
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
+    handler = signal.signal(signal.SIGTERM, _terminate)
     try:
         with fh:
             yield fh
@@ -88,6 +102,8 @@ def _replacing(path: str):
     except BaseException:
         os.unlink(tmp)
         raise
+    finally:
+        signal.signal(signal.SIGTERM, handler)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -283,6 +299,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        # the handler that stood before is back: die by the signal as a run
+        # without --out would have
+        os.kill(os.getpid(), signal.SIGTERM)
+        return 128 + signal.SIGTERM
 
 
 if __name__ == "__main__":

@@ -22,26 +22,26 @@ pairwise, so the MGTA of a coarsening follows from the finer one's
 without a rebuild: ``coarsen_rows`` unites part ids and class ids and
 renumbers the classes of the rows that stay, and ``merge_tiles`` is one
 call of it.  It works on tile rows, (N, E, S, W, colour) with canonical
-part and class ids, so the search coarsens the verified tile system of
-its last incumbent itself; uniting two parts of different colours
+part and class ids, so the search coarsens the tile system of an
+ancestor on its path itself; uniting two parts of different colours
 raises.
 
 A partition is constructible, i.e. some deterministic tile system
 assembles exactly it, iff no two parts of its MGTA share both their
 south and west classes.  (Two parts with equal full quadruples are a
-special case.)  ``check_constructible`` is that test, on quads or tile
-rows.  ``tile_table`` turns a constructible assignment over a
-colour-respecting partition, given as raw tables (labels, quads), into
-the concrete tile system, with its tiles as plain 5-tuples;
-``named_tiles`` makes them ``Tile``s, and ``extract_tas`` is the two on
-a ``GlueAssignment``.
+special case.)  ``constructibility`` is that test on a
+``GlueAssignment``, and ``check_constructible`` on quads or tile rows
+in canonical part order.  ``extract_tas`` turns a constructible
+assignment over a colour-respecting partition into the concrete tile
+system; ``named_tiles`` makes the plain rows the search works on
+``Tile``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .partition import Partition, canonical_signature, cell_index, merge_parts
 from .pattern import ColorGrid
@@ -263,18 +263,15 @@ def coarsen_rows(rows, num_classes: int, pairs):
 
 def _ranks(up: dict[int, int], size: int) -> list[int]:
     """For each id below ``size``, the rank of its root among the roots,
-    where ``up`` links every non-root id to a smaller id."""
+    where ``up`` links every non-root id to a smaller id, whose entry is
+    therefore final by the time a non-root's is made."""
     out: list[int] = []
     start = 0
     for i, q in enumerate(sorted(up)):
         out += range(start - i, q - i)  # ids start..q-1 follow i non-roots
-        out.append(0)  # q's entry, filled in below
+        out.append(out[up[q]])
         start = q + 1
     out += range(start - len(up), size - len(up))
-    for q, r in up.items():
-        while r in up:
-            r = up[r]
-        out[q] = out[r]
     return out
 
 
@@ -285,18 +282,14 @@ def constructibility(f: GlueAssignment) -> Constructibility:
     return Constructibility(conflict=_sw_conflict(order, f.glues))
 
 
-def check_constructible(rows, labels=None) -> None:
+def check_constructible(rows) -> None:
     """Raise ValueError when two of ``rows`` (quads, or tile rows that start
-    with their quad) share their (S, W) classes, naming the first such
-    pair in canonical part order: that of ``labels``, or the order of
-    the rows when they are in canonical part order already.  The test is
-    one set of the pairs; the canonical scan runs only to name the pair."""
+    with their quad, in canonical part order) share their (S, W) classes,
+    naming the first such pair.  The test is one set of the pairs; the
+    canonical scan runs only to name the pair."""
     if len(set(map(_south_west, rows))) < len(rows):
-        order = range(len(rows)) if labels is None else _canonical_part_order(labels)
-        raise ValueError(
-            f"partition is not constructible: parts {_sw_conflict(order, rows)} "
-            "share S and W"
-        )
+        pair = _sw_conflict(range(len(rows)), rows)
+        raise ValueError(f"partition is not constructible: parts {pair} share S and W")
 
 
 def _sw_conflict(order, quads) -> tuple[int, int] | None:
@@ -315,31 +308,21 @@ def _sw_conflict(order, quads) -> tuple[int, int] | None:
 def extract_tas(f: GlueAssignment, grid: ColorGrid) -> TileSystem:
     """Concrete tile system for a constructible assignment: one ``Tile``
     per part, coloured by the part's cells, seed glues read off the south
-    and west border classes.  Raises ValueError when the dimensions
-    differ or a check of ``tile_table``, which does the work, fails."""
+    and west border classes.
+
+    Raises ValueError when the dimensions differ, when two parts share an
+    (S, W) pair (naming the pair ``constructibility`` finds), or when the
+    partition does not respect the grid's colouring (refine the colour
+    partition), since then no single colour per tile exists; one pass
+    over the cells gives each part its colour and makes that check.
+    """
     p = f.partition
     if (p.m, p.n) != (grid.m, grid.n):
         raise ValueError("partition and grid dimensions differ")
-    return named_tiles(tile_table(p.labels, f.glues, grid))
-
-
-def named_tiles(system: TileSystem) -> TileSystem:
-    """``system`` with each tile row made a ``Tile``."""
-    return replace(system, tiles=tuple(map(Tile._make, system.tiles)))
-
-
-def tile_table(labels, quads, grid: ColorGrid) -> TileSystem:
-    """The tile system of an MGTA given as raw tables, its labels and
-    quads over ``grid``'s cells, with each tile a plain (N, E, S, W,
-    colour) tuple, which ``named_tiles`` makes ``Tile``s.
-
-    ``check_constructible`` checks that no two parts share an (S, W)
-    pair, and one pass over the cells gives each part its colour while
-    checking that the partition respects the grid's colouring (refines
-    the colour partition), since otherwise no single colour per tile
-    exists.  Raises ValueError when either check fails.
-    """
-    check_constructible(quads, labels)
+    conflict = constructibility(f).conflict
+    if conflict is not None:
+        raise ValueError(f"partition is not constructible: parts {conflict} share S and W")
+    labels, quads = p.labels, f.glues
     part_color: list[int | None] = [None] * len(quads)
     for lab, col in zip(labels, grid.cells):
         have = part_color[lab]
@@ -351,7 +334,12 @@ def tile_table(labels, quads, grid: ColorGrid) -> TileSystem:
     return TileSystem(
         m,
         grid.n,
-        tuple(map(add, quads, zip(part_color))),
+        tuple([Tile(*quad, col) for quad, col in zip(quads, part_color)]),
         tuple([quads[lab][S] for lab in labels[:m]]),
         tuple([quads[lab][W] for lab in labels[::m]]),
     )
+
+
+def named_tiles(system: TileSystem) -> TileSystem:
+    """``system`` with each tile row made a ``Tile``."""
+    return replace(system, tiles=tuple(map(Tile._make, system.tiles)))

@@ -48,31 +48,32 @@ The isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
 rest of the walk; the random draws are the same either way.
 
-Adopting an incumbent rebuilds nothing and carries no per-cell labels.
-The engine keeps the last incumbent's last merge record, its ascending
-part anchors, the tile system ``verify_solution`` simulated for it
-(plain rows: ``row[:4]`` is a part's MGTA quad, ``row[4]`` its colour,
-in canonical part order) and its class count.  Most incumbents lie below
-the last one on the same path, a merge or a few deeper, so their tile
-system is the last one coarsened by the merges since.  When that record
-is still on the path at the incumbent's depth (an identity test, so undo
-keeps no extra books), each new merge record's ``lo`` and ``hi`` are
-found among the anchors by bisection, since a merge keeps its smaller
-anchor and every later anchor was one already, and ``coarsen_rows``
-unites those part ids and their classes, raising when a united pair's
-colours differ, and renumbers the rows; the seed glues take the same
-class ranks.  Since the last system passed the colour check, that is
-the same check as a per-cell one.  Otherwise (the root, and incumbents
-found after backtracking) ``_snapshot`` reads the rows off the engine:
-the union-find's classes already are the MGTA of the current partition,
-so a walk of the live list (canonical part order) numbers the roots of
-each anchor's N, E, S, W edge nodes by first occurrence, the seed glues
-are the classes of the border nodes, and each merge record on the path
-is checked to unite cells of one colour.  Both give exactly the class
-ids ``build_mgta`` would give.  ``check_constructible`` then tests the
-rows for a shared (S, W) pair, and ``verify_solution`` simulates the
-system in full before ``best``, the trace, ``progress`` or
-``on_incumbent`` hear of the incumbent.  It is then stored in one
+Adopting an incumbent rebuilds nothing and carries no per-cell labels:
+its partition coarsens every partition above it on the path, so its
+tile system is an ancestor's coarsened by the merges since.  Each
+ancestor is an entry of the same shape: a merge record, ascending part
+anchors, a tile system of plain rows (``row[:4]`` is a part's MGTA quad,
+``row[4]`` its colour, in canonical part order) and its class count.
+The engine keeps two.  One is the root's, the discrete partition: its
+anchors are all the cells and its classes the edge nodes themselves,
+numbered by first occurrence in N, E, S, W order.  The other is the
+last incumbent's, with the record of its last merge and the system
+``verify_solution`` simulated for it.  An incumbent derives from the
+last one when that record is still on the path at the last one's depth
+(an identity test, so undo keeps no extra books); such incumbents lie
+some merges deeper, about 6 on average on sierpinski16.  Every other
+one, the root itself and those found after backtracking, derives from
+the root through every merge on the path.  Each merge record's ``lo`` and
+``hi`` are found among the ancestor's anchors by bisection, since a
+merge keeps its smaller anchor and every later anchor was one already,
+and ``coarsen_rows`` unites those part ids and their classes, raising
+when a united pair's colours differ, and renumbers the rows; the seed
+glues take the same class ranks.  The ancestor's parts each have one
+colour, so that is the same check as a per-cell one, and the class ids
+are exactly the ones ``build_mgta`` would give.  ``check_constructible``
+then tests the rows for a shared (S, W) pair, and ``verify_solution``
+simulates the system in full before ``best``, the trace, ``progress``
+or ``on_incumbent`` hear of the incumbent.  It is then stored in one
 assignment, so a solve stopped at any point finds its last incumbent
 whole.
 
@@ -251,10 +252,23 @@ class _Engine:
 
         self.merges = 0
         self.best = mn + 1
-        # the last, so the best, incumbent: (last merge record or None,
-        # ascending part anchors, verified tile system, class count,
-        # trace).  Holding the record keeps its identity unique, and a
-        # record taken off the path is never pushed again.
+        # the root's entry, shaped like ``last``: the discrete partition,
+        # each edge node its own class, numbered by first occurrence in N,
+        # E, S, W order, and the seed glues the border nodes' classes
+        ids: dict[int, int] = {}
+        glue = ids.setdefault
+        rows = tuple([
+            (glue(c + m, len(ids)), glue(self.east[c], len(ids)), glue(c, len(ids)),
+             glue(wb + c, len(ids)), grid.cells[c])
+            for c in range(mn)
+        ])
+        seeds = tuple([ids[c] for c in range(m)]), tuple([ids[wb + c] for c in range(0, mn, m)])
+        self.root = (None, list(range(mn)), TileSystem(m, grid.n, rows, *seeds), len(ids), ())
+        # the last, so the best, incumbent, the ancestor of the next one
+        # while its last merge record (None at the root) is on the path:
+        # (that record, ascending part anchors, verified tile system, class
+        # count, trace).  Holding the record keeps its identity unique, and
+        # a record taken off the path is never pushed again.
         self.last: tuple | None = None
 
         self.path: list[tuple] = []  # merge records of the current path
@@ -363,63 +377,6 @@ class _Engine:
                 parts += 1
         return tuple(labels)
 
-    def _snapshot(self):
-        """The current partition's tile system read off the engine, as
-        (ascending part anchors, ``TileSystem`` of plain rows, class count);
-        see the module docstring.  The live list gives the anchors in
-        canonical part order; each anchor supplies its part's colour and
-        edge roots, numbered by first occurrence in N, E, S, W order as
-        ``build_mgta`` does, and the seed glues are the classes of the
-        border nodes.  Raises ValueError when a merge on the path united
-        cells of different colours."""
-        p, m, wb, east, nxt = self.parent, self.grid.m, self.wbase, self.east, self.nxt
-        mn = self.mn
-        colors = self.grid.cells
-        for rec in self.path:
-            if colors[rec[1]] != colors[rec[2]]:
-                raise ValueError("partition does not respect the grid colouring")
-        glue_ids: dict[int, int] = {}
-        glue_id = glue_ids.setdefault
-        anchors = []
-        rows = []
-        c = nxt[mn]
-        while c != mn:
-            anchors.append(c)
-            north = c + m
-            while p[north] != north:
-                north = p[north]
-            e = east[c]
-            while p[e] != e:
-                e = p[e]
-            south = c
-            while p[south] != south:
-                south = p[south]
-            west = wb + c
-            while p[west] != west:
-                west = p[west]
-            rows.append((
-                glue_id(north, len(glue_ids)),
-                glue_id(e, len(glue_ids)),
-                glue_id(south, len(glue_ids)),
-                glue_id(west, len(glue_ids)),
-                colors[c],
-            ))
-            c = nxt[c]
-
-        def glue_of(node: int) -> int:
-            while p[node] != node:
-                node = p[node]
-            return glue_ids[node]
-
-        table = TileSystem(
-            m,
-            self.grid.n,
-            tuple(rows),
-            tuple([glue_of(x) for x in range(m)]),  # S of the bottom row
-            tuple([glue_of(wb + c) for c in range(0, mn, m)]),  # W of the first column
-        )
-        return anchors, table, len(glue_ids)
-
     def _observe(self, constructible: bool) -> None:
         labels = self._labels()
         anchors: list[int] = []
@@ -440,29 +397,28 @@ class _Engine:
 
     def _adopt_incumbent(self) -> None:
         """Adopt the current node, of fewer parts than ``best``, as the
-        incumbent, on its tile rows (see the module docstring).  The last
-        one, of ``best`` parts, sat m*n - best merges deep."""
+        incumbent: coarsen the rows of the last one, of ``best`` parts and
+        m*n - best merges deep, when it is an ancestor, else the root's
+        (see the module docstring)."""
         path, last, grid = self.path, self.last, self.grid
         depth = self.mn - self.best
         if last is not None and (not depth or path[depth - 1] is last[0]):
-            # below the last incumbent, whose path is still a prefix of ours
-            _, anchors, table, num_classes, _ = last
-            pairs = [
-                (bisect_left(anchors, r[1]), bisect_left(anchors, r[2])) for r in path[depth:]
-            ]
-            gone, ranks, rows, num_classes = coarsen_rows(table.tiles, num_classes, pairs)
-            anchors = anchors.copy()
-            for q in gone:
-                del anchors[q]
-            table = TileSystem(
-                grid.m,
-                grid.n,
-                rows,
-                tuple([ranks[g] for g in table.seed_north]),
-                tuple([ranks[g] for g in table.seed_east]),
-            )
+            ancestor = last  # its path is still a prefix of ours
         else:
-            anchors, table, num_classes = self._snapshot()
+            ancestor, depth = self.root, 0
+        _, anchors, table, num_classes, _ = ancestor
+        pairs = [(bisect_left(anchors, r[1]), bisect_left(anchors, r[2])) for r in path[depth:]]
+        gone, ranks, rows, num_classes = coarsen_rows(table.tiles, num_classes, pairs)
+        anchors = list(anchors)
+        for q in gone:
+            del anchors[q]
+        table = TileSystem(
+            grid.m,
+            grid.n,
+            rows,
+            tuple([ranks[g] for g in table.seed_north]),
+            tuple([ranks[g] for g in table.seed_east]),
+        )
         check_constructible(table.tiles)
         size = len(anchors)
         assert size == self.mn - len(path)

@@ -237,7 +237,8 @@ class TestSolve:
 
     def test_sigterm_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys):
         # the tile set replaces --out only once it is written, so a solve
-        # killed mid-search leaves the file that stood there before
+        # killed mid-search leaves the file that stood there before, and
+        # the SIGTERM unwinds the solve, which takes its temporary file away
         pat = tmp_path / "pat.txt"
         tiles = tmp_path / "tiles.txt"
         events = tmp_path / "events.txt"
@@ -264,6 +265,7 @@ class TestSolve:
             proc.wait()
         assert proc.returncode == -signal.SIGTERM
         assert tiles.read_bytes() == before
+        assert not list(tmp_path.glob(".tiles.txt.*.tmp"))
         code, verified, _ = run(capsys, "verify", "--pattern", str(pat), "--tiles", str(tiles))
         assert code == 0 and verified.startswith("verify: OK")
 

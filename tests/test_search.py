@@ -457,12 +457,12 @@ def solve_with_adoption_check(grid, cfg, check, **options):
 
 
 class TestIncumbentAssignment:
-    """The engine reads each incumbent's tile rows off its own edge-node
-    union-find, or derives them from the last one's, with the class
-    count.  build_mgta computes the same assignment from the partition
-    alone; the two must agree on every incumbent, class ids included, the
-    tile system the engine verified must be extract_tas's on it, and the
-    partition handed out must be the engine's."""
+    """The engine derives each incumbent's tile rows and class count from
+    an ancestor's, the last incumbent's or the root's.  build_mgta
+    computes the same assignment from the partition alone; the two must
+    agree on every incumbent, class ids included, the tile system the
+    engine verified must be extract_tas's on it, and the partition
+    handed out must be the engine's."""
 
     @staticmethod
     def solve_checked(grid, cfg):
@@ -506,38 +506,49 @@ class TestIncumbentAssignment:
 
 def solve_checking_adoption(grid, cfg):
     """Solve with each adopted incumbent's anchors, tile system and class
-    count compared with ``_snapshot()`` of the engine state it is adopted
-    at, its stored tile system checked to be the one ``verify_solution``
-    simulated, and the partition it hands out checked to be the engine's.
-    Returns the result and how many incumbents ``coarsen_rows`` derived
-    and how many were snapshotted after the root's."""
-    counts = {"adopted": 0, "derived": 0}
+    count compared with ``build_mgta`` and ``extract_tas`` on the
+    engine's partition at the state it is adopted at, its stored tile
+    system checked to be the one ``verify_solution`` simulated, and the
+    partition it hands out checked to be the engine's.  Returns the
+    result and how many incumbents ``coarsen_rows`` derived from the last
+    one and how many from the root after the root's own."""
+    counts = {"from last": 0, "from root": 0}
+    coarsened = []
     simulated = []
+    previous = None  # the last incumbent's entry
     real_coarsen, real_verify = search_module.coarsen_rows, search_module.verify_solution
 
-    def counted_coarsen(*args):
-        counts["derived"] += 1
-        return real_coarsen(*args)
+    def recorded_coarsen(rows, *args):
+        coarsened.append(rows)
+        return real_coarsen(rows, *args)
 
     def recorded_verify(system, g):
         simulated.append(system)
         return real_verify(system, g)
 
     def check(engine):
-        anchors, table, num_classes = engine._snapshot()
-        assert engine.last[1] == anchors
-        assert engine.last[2] == table
-        assert engine.last[3] == num_classes
+        nonlocal previous
+        part = Partition(grid.m, grid.n, engine._labels())
+        ref = build_mgta(part)
+        assert engine.last[1] == [part.labels.index(i) for i in range(part.num_parts)]
+        assert engine.last[2] == extract_tas(ref, grid)
+        assert engine.last[3] == ref.num_classes
         assert engine.last[2] is simulated[-1]
         assert engine._hand_out()[1].labels == engine._labels()
-        counts["adopted"] += 1
+        assert len(coarsened) == len(simulated)  # one derivation per incumbent
+        if coarsened[-1] is engine.root[2].tiles:
+            counts["from root"] += previous is not None
+        else:
+            assert coarsened[-1] is previous[2].tiles
+            counts["from last"] += 1
+        previous = engine.last
 
     with ExitStack() as patches:
-        patches.enter_context(mock.patch.object(search_module, "coarsen_rows", counted_coarsen))
+        patches.enter_context(mock.patch.object(search_module, "coarsen_rows", recorded_coarsen))
         patches.enter_context(mock.patch.object(search_module, "verify_solution", recorded_verify))
         result = solve_with_adoption_check(grid, cfg, check)
-    assert counts["adopted"] == len(result.trace)
-    return result, counts["derived"], counts["adopted"] - counts["derived"] - 1
+    assert len(simulated) == len(result.trace)
+    return result, counts["from last"], counts["from root"]
 
 
 ADOPTION_WORKLOADS = {
@@ -552,30 +563,31 @@ ADOPTION_WORKLOADS = {
 
 
 class TestIncumbentDerivation:
-    """An incumbent below the last one on the search path has its tile
-    system derived by ``coarsen_rows`` from the last one's; any other is
-    read off the engine by ``_snapshot``.  The derived system must be the
-    snapshot exactly, and each workload must take both paths."""
+    """Every incumbent's tile system is an ancestor's coarsened by
+    ``coarsen_rows``: the last incumbent's while it is still on the
+    search path, else the root's.  Either must give the system
+    ``build_mgta`` and ``extract_tas`` give on the engine's partition,
+    and each workload must derive from both."""
 
     @pytest.mark.parametrize("name", sorted(ADOPTION_WORKLOADS))
     def test_workloads(self, name):
-        derived = snapshotted = 0
+        from_last = from_root = 0
         for grid, cfg in ADOPTION_WORKLOADS[name]():
-            _, d, s = solve_checking_adoption(grid, cfg)
-            derived += d
-            snapshotted += s
-        assert derived and snapshotted, (derived, snapshotted)
+            _, a, b = solve_checking_adoption(grid, cfg)
+            from_last += a
+            from_root += b
+        assert from_last and from_root, (from_last, from_root)
 
     def test_small_grids_exact(self):
-        seen = {"derived": 0, "snapshotted": 0}
+        seen = {"from last": 0, "from root": 0}
 
         @settings(max_examples=150, deadline=None)
         @given(grid=small_grids(max_cells=9), seed=st.integers(0, 1000))
         @example(grid=gen_sierpinski(3, 3), seed=0)  # finds its optimum after backtracking
         def check(grid, seed):
-            _, d, s = solve_checking_adoption(grid, SolveConfig.exact(seed=seed))
-            seen["derived"] += d
-            seen["snapshotted"] += s
+            _, a, b = solve_checking_adoption(grid, SolveConfig.exact(seed=seed))
+            seen["from last"] += a
+            seen["from root"] += b
 
         check()
         assert all(seen.values()), seen
@@ -595,14 +607,28 @@ class TestIncumbentDerivation:
             with pytest.raises(ValueError, match=r"^partition is not constructible: parts "):
                 solve(gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0))
 
-    def test_snapshot_checks_the_colouring_per_merge(self):
-        # a merge record that unites cells of two colours fails the snapshot
+    def test_cross_colour_merge_fails_adoption_from_the_root(self):
+        # off the last incumbent's path, an incumbent is derived from the
+        # root through every merge on the path, each checked for colour
         grid = ColorGrid(2, 2, 2, (0, 1, 1, 0))
         engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
-        engine._snapshot()
+        engine._adopt_incumbent()  # the root
+        engine.path.append(engine._apply_merge(0, 3, 0))
+        engine._adopt_incumbent()
+        engine._undo_merge(engine.path.pop())
+        engine.path.append(engine._apply_merge(1, 2, 1))
         engine.path.append(engine._apply_merge(0, 1, 0))
-        with pytest.raises(ValueError, match="grid colouring"):
-            engine._snapshot()
+        derived = []
+        real_coarsen = search_module.coarsen_rows
+
+        def recorded_coarsen(rows, *args):
+            derived.append(rows)
+            return real_coarsen(rows, *args)
+
+        with mock.patch.object(search_module, "coarsen_rows", recorded_coarsen):
+            with pytest.raises(ValueError, match="^parts 0 and 1 have different colours$"):
+                engine._adopt_incumbent()
+        assert len(derived) == 1 and derived[0] is engine.root[2].tiles
 
 
 HAND_OUT_CASES = {
