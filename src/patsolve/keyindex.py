@@ -7,22 +7,26 @@ the node it was last synced at:
 
 * ``owner``: key -> the anchor holding it;
 * ``south`` and ``west``: each anchor's S and W edge root, flat per cell;
-* ``by_root``: edge root -> the anchors whose S or W root it is.
+* ``by_root``: a list with one bucket per edge node, the set of anchors
+  whose S or W root that node is (empty for a node that is no root).
 
-Roots change only by linking.  So after merges below the indexed node,
-the parts whose key may have moved are exactly the anchors indexed under
-a root that was linked; every other live part keeps its key, and those
-keys are still distinct.  ``probe`` uses that to find the first conflict
-of a child of the indexed node from the few parts the child's merge
-would touch, without applying the merge: it works out which roots the
-merge would link in a small dict of its own.  ``sync`` moves the index
-down to a constructible descendant in place, reading the merges since
-the indexed node off the engine's path past the index's depth: their
-records name the gone parts, and the first one's trail mark starts the
-roots linked since.  It returns the old roots of the anchors it
-rekeyed.  ``restore`` moves the index back up from those saved roots,
-so it needs no ``find`` and can run while the engine still sits at the
-descendant, as the node that synced ends.
+Edge nodes are of two kinds that never unite: N and S nodes (horizontal
+edges) and E and W nodes (vertical ones).  Roots change only by linking.
+So after merges below the indexed node, the parts whose key may have
+moved are exactly the anchors in the bucket of a root that was linked;
+every other live part keeps its key, and those keys are still distinct.
+``probe`` uses that to find the first conflict of a child of the
+indexed node from the few parts the child's merge would touch, without
+applying the merge: it maps each root the merge would link straight to
+the root its class would end at, in a small dict of its own.  ``sync``
+moves the index down to a constructible descendant in place, reading
+the merges since the indexed node off the engine's path past the index's
+depth: their records name the gone parts, and the first one's trail mark
+starts the roots linked since.  It rekeys each anchor in the buckets of
+those roots and returns their old roots.  ``restore`` moves the index
+back up from those saved roots, so it needs no ``find`` and can run
+while the engine still sits at the descendant, as the node that synced
+ends.
 
 The indexed node is named by its depth alone, as a merge can link
 nothing but always adds a path record.
@@ -37,28 +41,17 @@ class KeyIndex:
         constructible.  The index shares the engine's union-find parents,
         trail of linked roots, path of merge records and live-anchor list
         (sentinel ``mn``), and reads its edge-node layout from it."""
-        self.parent, self.trail, self.path = engine.parent, engine.trail, engine.path
-        self.m, self.wbase, self.east = engine.grid.m, engine.wbase, engine.east
-        self.stride = len(engine.parent)
-        nxt, mn = engine.nxt, engine.mn
-        self.owner: dict[int, int] = {}
-        self.south = [0] * mn
-        self.west = [0] * mn
-        self.by_root: dict[int, set[int]] = {}
+        p, wb, nxt, mn = engine.parent, engine.wbase, engine.nxt, engine.mn
+        self.parent, self.trail, self.path = p, engine.trail, engine.path
+        self.m, self.east = engine.grid.m, engine.east
+        stride = self.stride = len(p)
+        owner: dict[int, int] = {}
+        south, west = [0] * mn, [0] * mn
+        by_root: list[set[int]] = [set() for _ in range(stride)]
+        self.owner, self.south, self.west, self.by_root = owner, south, west, by_root
         self.depth = len(self.path)
-        live = []
         a = nxt[mn]
         while a != mn:
-            live.append(a)
-            a = nxt[a]
-        self._index(live)
-
-    def _index(self, anchors) -> None:
-        """Find the S and W edge roots of each of ``anchors`` and index the
-        anchor under them."""
-        p, south, west, wb = self.parent, self.south, self.west, self.wbase
-        owner, by_root, stride = self.owner, self.by_root, self.stride
-        for a in anchors:
             s = a
             while p[s] != s:
                 s = p[s]
@@ -68,27 +61,31 @@ class KeyIndex:
             south[a] = s
             west[a] = w
             owner[s * stride + w] = a
-            by_root.setdefault(s, set()).add(a)
-            by_root.setdefault(w, set()).add(a)
+            by_root[s].add(a)
+            by_root[w].add(a)
+            a = nxt[a]
 
     def probe(self, lo: int, hi: int):
         """The first conflict (canonical order) of the state that merging
         the parts anchored at ``lo < hi`` would make from the indexed node,
         or None when that state is constructible.  Nothing is applied.
 
-        The merge unites the two parts' N, E, S and W slot classes.  The
-        roots those unions would link are redirected to the roots they
-        would join, in a small dict; only the anchors indexed under a
-        redirected root change key, and ``hi`` is gone.  The full scan
-        returns, among the key groups of two or more live parts, the group
-        whose second-smallest anchor is least, paired with that group's
-        smallest anchor.  Only groups holding a touched part can have two
-        members: the touched parts of one new key plus the untouched part
-        that holds it in ``owner`` (a new key is made of unredirected
-        roots, so its owner is never touched).  The touched anchors are
-        walked in ascending order, so a group's first walked member is its
-        smallest touched one, and the walk stops once an anchor reaches
-        the second member of the best group found so far."""
+        The merge makes two links among N/S nodes (the parts' N classes,
+        then their S classes) and two among E/W nodes.  Each root a link
+        would join to another is mapped, in a small dict, straight to the
+        root it would end under; when the second link moves where the
+        first one ended (hi's S root, after the first, is lo's N root),
+        the first one's root is re-pointed.  Only the anchors in a mapped
+        root's bucket change key, one lookup per root, and ``hi`` is gone.
+        The full scan returns, among the key groups of two or more live
+        parts, the group whose second-smallest anchor is least, paired
+        with that group's smallest anchor.  Only groups holding a touched
+        part can have two members: the touched parts of one new key plus
+        the untouched part that holds it in ``owner`` (a new key is made of
+        unmapped roots, so its owner is never touched).  The touched anchors
+        are walked once each in ascending order, so a group's first walked
+        member is its smallest touched one, and the walk stops once an
+        anchor reaches the second member of the best group found so far."""
         p, south, west, m, east = self.parent, self.south, self.west, self.m, self.east
         n0 = lo + m
         while p[n0] != n0:
@@ -103,33 +100,46 @@ class KeyIndex:
         while p[e1] != e1:
             e1 = p[e1]
         red: dict[int, int] = {}
-        for x, y in ((n0, n1), (e0, e1), (south[lo], south[hi]), (west[lo], west[hi])):
-            while x in red:
-                x = red[x]
-            while y in red:
-                y = red[y]
-            if x != y:
-                red[y] = x
+        if n0 != n1:
+            red[n1] = n0
+        x = south[lo]
+        x = red.get(x, x)
+        y = south[hi]
+        y = red.get(y, y)
+        if x != y:
+            red[y] = x
+            if y == n0:
+                red[n1] = x
+        if e0 != e1:
+            red[e1] = e0
+        x = west[lo]
+        x = red.get(x, x)
+        y = west[hi]
+        y = red.get(y, y)
+        if x != y:
+            red[y] = x
+            if y == e0:
+                red[e1] = x
         by_root = self.by_root
-        touched: set[int] = set()
+        touched: list[int] = []  # an anchor in two buckets comes twice, side by side
         for r in red:
-            t = by_root.get(r)
-            if t:
-                touched |= t
-        touched.discard(hi)
+            touched += by_root[r]
+        touched.sort()
         owner, stride = self.owner, self.stride
         seen: dict[int, int] = {}
         best = None
         bound = stride  # past every anchor
-        for a in sorted(touched):
+        prev = -1
+        for a in touched:
             if a >= bound:
                 break
+            if a == prev or a == hi:
+                continue
+            prev = a
             s = south[a]
-            while s in red:
-                s = red[s]
+            s = red.get(s, s)
             w = west[a]
-            while w in red:
-                w = red[w]
+            w = red.get(w, w)
             key = s * stride + w
             t = seen.get(key)
             if t is not None:
@@ -149,54 +159,69 @@ class KeyIndex:
         token ``restore`` takes to move it back.  The merge records on the
         engine's path past the index's depth name the parts that are gone
         (merged-away anchor third), and the roots on the trail from the
-        first one's mark (its first field) on are the ones linked since."""
+        first one's mark (its first field) on are the ones linked since.
+        Each anchor in their buckets is rekeyed in place: its new roots
+        are found from its old ones, and it moves only between the
+        buckets of a root that changed.  A moved key holds a linked root
+        and a new one none, so no key is ever taken before it is freed."""
         depth = self.depth
         since = self.path[depth:]
         gone = [rec[2] for rec in since]
-        # the anchors indexed under a root linked since the indexed node
         by_root = self.by_root
         touched: set[int] = set()
         for r in self.trail[since[0][0]:]:
-            t = by_root.get(r)
-            if t:
-                touched |= t
-        owner, stride = self.owner, self.stride
+            touched |= by_root[r]
+        p, owner, stride = self.parent, self.owner, self.stride
         south, west = self.south, self.west
         for a in gone:
             s, w = south[a], west[a]
             del owner[s * stride + w]
             by_root[s].discard(a)
             by_root[w].discard(a)
-            touched.discard(a)
-        saved = [(a, south[a], west[a]) for a in touched]
-        for a, s, w in saved:
-            del owner[s * stride + w]
-            by_root[s].discard(a)
-            by_root[w].discard(a)
-        self._index(touched)
+        touched.difference_update(gone)
+        saved = []
+        for a in touched:
+            s0 = s = south[a]
+            while p[s] != s:
+                s = p[s]
+            w0 = w = west[a]
+            while p[w] != w:
+                w = p[w]
+            saved.append((a, s0, w0))
+            del owner[s0 * stride + w0]
+            owner[s * stride + w] = a
+            if s != s0:
+                by_root[s0].discard(a)
+                by_root[s].add(a)
+                south[a] = s
+            if w != w0:
+                by_root[w0].discard(a)
+                by_root[w].add(a)
+                west[a] = w
         self.depth = len(self.path)
         return depth, saved, gone
 
     def restore(self, token) -> None:
         """Undo the sync that returned ``token``, with the engine's trail
-        back at the node that sync moved the index to.  The saved roots
-        are put back as they were, so nothing is found again; a gone part
-        was never rekeyed, so its ``south`` and ``west`` still hold its
-        roots."""
+        back at the node that sync moved the index to.  Each saved anchor
+        gets its old roots back, moving only between the buckets of a
+        root that changed, so nothing is found again; then the gone parts
+        come back, whose ``south`` and ``west`` were never rekeyed."""
         depth, saved, gone = token
         owner, by_root, stride = self.owner, self.by_root, self.stride
         south, west = self.south, self.west
-        for a, _, _ in saved:
-            s, w = south[a], west[a]
-            del owner[s * stride + w]
-            by_root[s].discard(a)
-            by_root[w].discard(a)
         for a, s, w in saved:
-            south[a] = s
-            west[a] = w
+            s1, w1 = south[a], west[a]
+            del owner[s1 * stride + w1]
             owner[s * stride + w] = a
-            by_root[s].add(a)
-            by_root[w].add(a)
+            if s != s1:
+                by_root[s1].discard(a)
+                by_root[s].add(a)
+                south[a] = s
+            if w != w1:
+                by_root[w1].discard(a)
+                by_root[w].add(a)
+                west[a] = w
         for a in gone:
             s, w = south[a], west[a]
             owner[s * stride + w] = a

@@ -36,10 +36,12 @@ at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
 synced to it in place (built at the root), and the node restores the
 index when it ends, after undoing its clique joins: like those joins,
 what a node does on entry it undoes at its exit.  Each child of the
-synced node is probed before it is made: the index finds the child's
-first conflict from the few parts whose keys the merge would move,
-without scanning every part and without applying the merge.  Most
-children die at once, and a child whose probed conflict is fatal
+synced node is probed before it is made: the index maps each root the
+merge would link straight to the root it would end under, in a small
+dict of its own, and finds the child's first conflict from the parts in
+those roots' buckets (one per edge node), the few whose keys the merge
+would move, without scanning every part and without applying the merge.
+Most children die at once, and a child whose probed conflict is fatal
 (across colours, or a pair in the child's clique) is counted as a merge
 but never applied or undone; only with an observer attached is every
 child made, so that the observer sees it.  Nodes after a forced merge
@@ -81,7 +83,11 @@ The system handed out is the one simulated, its rows made ``Tile``s by
 ``named_tiles``, together with a validated ``Partition`` whose part ids
 are the tile ids of that system's assembly.  Both are built only when a
 solution is handed out: at each ``on_incumbent`` call and once when
-``solve`` returns.  A ``KeyboardInterrupt`` stops the walk like a
+``solve`` returns.  An ``on_incumbent`` call comes while the engine
+still sits at the incumbent, so the partition takes the engine's
+canonical signature, which numbers parts in the rows' order; at the end
+the engine has left the incumbent, and the labels are read off a
+simulation of the system.  A ``KeyboardInterrupt`` stops the walk like a
 cutoff, and ``solve`` hands out the last incumbent with ``interrupted``
 set.
 """
@@ -432,17 +438,20 @@ class _Engine:
         self.last = (path[-1] if path else None, anchors, table, num_classes, trace)
         self.best = size
         if self.on_incumbent is not None:
-            self.on_incumbent(self.merges, size, *self._hand_out())
+            self.on_incumbent(self.merges, size, *self._hand_out(self._labels()))
         if self.progress is not None:
             self.progress(self.merges, size)
 
-    def _hand_out(self) -> tuple[TileSystem, Partition]:
+    def _hand_out(self, labels=None) -> tuple[TileSystem, Partition]:
         """The last incumbent as public objects: the tile system that was
         simulated, with ``Tile``s for its rows, and the validated
         ``Partition`` whose part ids are the tile ids of that system's
-        assembly (its rows are in canonical part order)."""
+        assembly (its rows are in canonical part order).  ``labels``, the
+        incumbent's canonical signature while the engine sits at it, are
+        those ids; without them the system is simulated for them."""
         table = self.last[2]
-        labels = simulate(table).assembly.tiles
+        if labels is None:
+            labels = simulate(table).assembly.tiles
         return named_tiles(table), Partition(self.grid.m, self.grid.n, labels)
 
     # -- the tree -----------------------------------------------------------

@@ -672,6 +672,32 @@ class TestHandOut:
         assert not result.interrupted
 
     @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
+    def test_on_incumbent_partition_is_the_assembly(self, name):
+        # each on_incumbent partition takes its labels from the engine, which
+        # sits at the incumbent; they are the tile ids of the system's
+        # assembly, and only the final hand-out simulates
+        grid, cfg = HAND_OUT_CASES[name]
+        real_simulate = search_module.simulate
+        simulated = []
+
+        def recorded_simulate(system, *args, **kwargs):
+            simulated.append(system)
+            return real_simulate(system, *args, **kwargs)
+
+        sizes = []
+
+        def on_incumbent(merges, size, system, part):
+            tiles = simulate(system).assembly.tiles
+            assert part == Partition(grid.m, grid.n, tiles)
+            assert tuple(part.labels) == tiles
+            sizes.append(size)
+
+        with mock.patch.object(search_module, "simulate", recorded_simulate):
+            result = solve(grid, cfg, on_incumbent=on_incumbent)
+        assert sizes == [size for _, size in result.trace]
+        assert len(simulated) == 1
+
+    @pytest.mark.parametrize("name", sorted(HAND_OUT_CASES))
     def test_on_incumbent_leaves_the_search_unchanged(self, name):
         grid, cfg = HAND_OUT_CASES[name]
         plain = solve(grid, cfg)
@@ -848,13 +874,15 @@ class TestProcessState:
 
 def index_state(idx):
     """What a key index says about the live parts: its depth, keys, roots
-    of each indexed anchor and the non-empty root-to-anchor sets."""
+    of each indexed anchor, its number of buckets (one per edge node) and
+    every non-empty bucket by node."""
     live = sorted(idx.owner.values())
     return (
         idx.depth,
         idx.owner,
         [(a, idx.south[a], idx.west[a]) for a in live],
-        {r: anchors for r, anchors in idx.by_root.items() if anchors},
+        len(idx.by_root),
+        {r: anchors for r, anchors in enumerate(idx.by_root) if anchors},
     )
 
 
@@ -1053,6 +1081,16 @@ class TestKeyIndex:
     # merging parts 0 and 5 here links no root of part 5's key, which the
     # merged part 0 then shares
     @example(grid=ColorGrid(2, 4, 1, (0,) * 8), picks=[(14, 12), (6, 14), (8, 10), (15, 3)])
+    # merging same-coloured parts anchored one above the other (hi = lo + m)
+    # links hi's N root onto lo's and then hi's S root, which is lo's N
+    # root, onto lo's S root, so the first link's root must be re-pointed;
+    # parts side by side in a row (hi = lo + 1) do the same with E and W.
+    # Here a probe that left it pointing at lo's N root (the first two) or
+    # E root (the last two) gets some such pair wrong.
+    @example(grid=ColorGrid(3, 3, 1, (0,) * 9), picks=[(12, 6)])
+    @example(grid=gen_random(4, 4, 2, 23), picks=[(10, 3), (9, 7)])
+    @example(grid=ColorGrid(2, 2, 1, (0,) * 4), picks=[(14, 5)])
+    @example(grid=gen_random(4, 4, 2, 3), picks=[(4, 6), (1, 9)])
     def test_probe_every_pair(self, grid, picks):
         # each pick merges two live parts and then the forced chain below
         # it, so the state stays constructible; the index built there must
@@ -1070,6 +1108,7 @@ class TestKeyIndex:
         for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
             expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
             assert index.probe(lo, hi) == expected, (lo, hi)
+
 
     @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
     def test_dead_children_are_not_made(self, name):
