@@ -18,7 +18,9 @@ every other live part keeps its key, and those keys are still distinct.
 ``probe`` uses that to find the first conflict of a child of the
 indexed node from the few parts the child's merge would touch, without
 applying the merge: it maps each root the merge would link straight to
-the root its class would end at, in a small dict of its own.  ``sync``
+the root its class would end at.  A merge links at most two roots of
+each node kind, so the map is at most two (moved root, final root) pairs
+per kind, held in locals and read by integer comparisons.  ``sync``
 moves the index down to a constructible descendant in place, reading
 the merges since the indexed node off the engine's path past the index's
 depth: their records name the gone parts, and the first one's trail mark
@@ -71,12 +73,14 @@ class KeyIndex:
         or None when that state is constructible.  Nothing is applied.
 
         The merge makes two links among N/S nodes (the parts' N classes,
-        then their S classes) and two among E/W nodes.  Each root a link
-        would join to another is mapped, in a small dict, straight to the
-        root it would end under; when the second link moves where the
-        first one ended (hi's S root, after the first, is lo's N root),
-        the first one's root is re-pointed.  Only the anchors in a mapped
-        root's bucket change key, one lookup per root, and ``hi`` is gone.
+        then their S classes) and two among E/W nodes.  Each link is one
+        (moved root, final root) pair in locals, a root linking nothing
+        mapping to itself; when the second link moves where the first one
+        ended (hi's S root, after the first, is lo's N root), the first
+        one's final root is re-pointed.  Only the anchors in a moved
+        root's bucket change key, and ``hi`` is gone; each is rekeyed by
+        comparing its S root with the N/S pairs' moved roots and its W
+        root with the E/W pairs'.
         The full scan returns, among the key groups of two or more live
         parts, the group whose second-smallest anchor is least, paired
         with that group's smallest anchor.  Only groups holding a touched
@@ -99,31 +103,36 @@ class KeyIndex:
         e1 = east[hi]
         while p[e1] != e1:
             e1 = p[e1]
-        red: dict[int, int] = {}
-        if n0 != n1:
-            red[n1] = n0
-        x = south[lo]
-        x = red.get(x, x)
-        y = south[hi]
-        y = red.get(y, y)
-        if x != y:
-            red[y] = x
-            if y == n0:
-                red[n1] = x
-        if e0 != e1:
-            red[e1] = e0
-        x = west[lo]
-        x = red.get(x, x)
-        y = west[hi]
-        y = red.get(y, y)
-        if x != y:
-            red[y] = x
-            if y == e0:
-                red[e1] = x
+        # Each kind takes at most two links: n1 -> n0, then hi's S root sy
+        # -> lo's S root sx (both as the first link leaves them); likewise
+        # e1 -> e0 and wy -> wx.  A pair that links nothing maps a root to
+        # itself, so only a moved root's bucket is collected.
         by_root = self.by_root
         touched: list[int] = []  # an anchor in two buckets comes twice, side by side
-        for r in red:
-            touched += by_root[r]
+        if n0 != n1:
+            touched += by_root[n1]
+        sx = south[lo]
+        if sx == n1:
+            sx = n0
+        sy = south[hi]
+        if sy == n1:
+            sy = n0
+        if sx != sy:
+            touched += by_root[sy]
+            if sy == n0:
+                n0 = sx  # n1's class ends where n0's moved
+        if e0 != e1:
+            touched += by_root[e1]
+        wx = west[lo]
+        if wx == e1:
+            wx = e0
+        wy = west[hi]
+        if wy == e1:
+            wy = e0
+        if wx != wy:
+            touched += by_root[wy]
+            if wy == e0:
+                e0 = wx
         touched.sort()
         owner, stride = self.owner, self.stride
         seen: dict[int, int] = {}
@@ -137,9 +146,15 @@ class KeyIndex:
                 continue
             prev = a
             s = south[a]
-            s = red.get(s, s)
+            if s == n1:
+                s = n0
+            elif s == sy:
+                s = sx
             w = west[a]
-            w = red.get(w, w)
+            if w == e1:
+                w = e0
+            elif w == wy:
+                w = wx
             key = s * stride + w
             t = seen.get(key)
             if t is not None:

@@ -37,10 +37,11 @@ synced to it in place (built at the root), and the node restores the
 index when it ends, after undoing its clique joins: like those joins,
 what a node does on entry it undoes at its exit.  Each child of the
 synced node is probed before it is made: the index maps each root the
-merge would link straight to the root it would end under, in a small
-dict of its own, and finds the child's first conflict from the parts in
-those roots' buckets (one per edge node), the few whose keys the merge
-would move, without scanning every part and without applying the merge.
+merge would link straight to the root it would end under, at most two
+pairs per node kind held in locals, and finds the child's first
+conflict from the parts in those roots' buckets (one per edge node), the
+few whose keys the merge would move, without scanning every part and
+without applying the merge.
 Most children die at once, and a child whose probed conflict is fatal
 (across colours, or a pair in the child's clique) is counted as a merge
 but never applied or undone; only with an observer attached is every
@@ -286,22 +287,62 @@ class _Engine:
 
     def _apply_merge(self, lo: int, hi: int, col: int):
         """Unite the parts anchored at lo < hi (same colour col): their
-        four edge-node pairs, each linked by size onto the trail.  Returns
-        an opaque record for _undo_merge."""
+        four edge-node pairs (N, E, S, W), each linked by size onto the
+        trail.  The four find-and-link blocks are written out, as a loop
+        over a tuple of pairs cost a fifth of the call.  Returns an
+        opaque record for _undo_merge."""
         p, sz, trail = self.parent, self.size, self.trail
         mark = len(trail)
-        m, wb, east = self.grid.m, self.wbase, self.east
-        for a, b in ((lo + m, hi + m), (east[lo], east[hi]), (lo, hi), (wb + lo, wb + hi)):
-            while p[a] != a:
-                a = p[a]
-            while p[b] != b:
-                b = p[b]
-            if a != b:
-                if sz[a] < sz[b]:
-                    a, b = b, a
-                p[b] = a
-                sz[a] += sz[b]
-                trail.append(b)
+        m, east = self.grid.m, self.east
+        a = lo + m
+        while p[a] != a:
+            a = p[a]
+        b = hi + m
+        while p[b] != b:
+            b = p[b]
+        if a != b:
+            if sz[a] < sz[b]:
+                a, b = b, a
+            p[b] = a
+            sz[a] += sz[b]
+            trail.append(b)
+        a = east[lo]
+        while p[a] != a:
+            a = p[a]
+        b = east[hi]
+        while p[b] != b:
+            b = p[b]
+        if a != b:
+            if sz[a] < sz[b]:
+                a, b = b, a
+            p[b] = a
+            sz[a] += sz[b]
+            trail.append(b)
+        a = lo
+        while p[a] != a:
+            a = p[a]
+        b = hi
+        while p[b] != b:
+            b = p[b]
+        if a != b:
+            if sz[a] < sz[b]:
+                a, b = b, a
+            p[b] = a
+            sz[a] += sz[b]
+            trail.append(b)
+        wb = self.wbase
+        a = wb + lo
+        while p[a] != a:
+            a = p[a]
+        b = wb + hi
+        while p[b] != b:
+            b = p[b]
+        if a != b:
+            if sz[a] < sz[b]:
+                a, b = b, a
+            p[b] = a
+            sz[a] += sz[b]
+            trail.append(b)
 
         nxt, prv = self.nxt, self.prv
         nxt[prv[hi]] = nxt[hi]
@@ -335,7 +376,8 @@ class _Engine:
 
     def _find_conflict(self):
         """First pair of live parts (canonical order) sharing both S and W
-        glue classes, or None.  Inlined node finds keep this hot path flat."""
+        glue classes, or None.  Inlined node finds and one ``setdefault``
+        per part keep this hot path flat."""
         nxt = self.nxt
         p = self.parent
         mn = self.mn
@@ -350,11 +392,9 @@ class _Engine:
             west = wb + a
             while p[west] != west:
                 west = p[west]
-            key = south * stride + west
-            other = seen.get(key)
-            if other is not None:
+            other = seen.setdefault(south * stride + west, a)
+            if other != a:
                 return (other, a)
-            seen[key] = a
             a = nxt[a]
         return None
 

@@ -1010,6 +1010,32 @@ SHORTCUT_SOLVES = {
 }
 
 
+def redirect_cases(engine, lo, hi):
+    """How merging the parts anchored at ``lo < hi`` links each kind of
+    edge node, N/S then E/W, from the engine's roots: the first link
+    (hi's N or E root onto lo's), then the second (hi's S or W root onto
+    lo's, as the first link leaves them).  Each kind is "none", "first",
+    "second", "both" or "re-pointed": both, where the second link moves
+    the root the first one ended at, so the first one's root must follow."""
+    parent = engine.parent
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    cases = []
+    for first, second in ((N, S), (E, W)):
+        r0, r1 = find(edge_node(engine, lo, first)), find(edge_node(engine, hi, first))
+        x, y = find(edge_node(engine, lo, second)), find(edge_node(engine, hi, second))
+        x, y = (r0 if x == r1 else x), (r0 if y == r1 else y)
+        if r0 != r1 and x != y:
+            cases.append("re-pointed" if y == r0 else "both")
+        else:
+            cases.append("first" if r0 != r1 else "second" if x != y else "none")
+    return tuple(cases)
+
+
 class TestKeyIndex:
     """The key index against the full determinism scan and a fresh build.
     Traces must not move either: the golden traces pin that."""
@@ -1073,42 +1099,53 @@ class TestKeyIndex:
         _, counts = solve_with_checked_index(gen_random(5, 5, 2, 1000), SolveConfig.exact(seed=1000))
         assert not any(counts.values())
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        grid=small_grids(max_cells=16),
-        picks=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
-    )
-    # merging parts 0 and 5 here links no root of part 5's key, which the
-    # merged part 0 then shares
-    @example(grid=ColorGrid(2, 4, 1, (0,) * 8), picks=[(14, 12), (6, 14), (8, 10), (15, 3)])
-    # merging same-coloured parts anchored one above the other (hi = lo + m)
-    # links hi's N root onto lo's and then hi's S root, which is lo's N
-    # root, onto lo's S root, so the first link's root must be re-pointed;
-    # parts side by side in a row (hi = lo + 1) do the same with E and W.
-    # Here a probe that left it pointing at lo's N root (the first two) or
-    # E root (the last two) gets some such pair wrong.
-    @example(grid=ColorGrid(3, 3, 1, (0,) * 9), picks=[(12, 6)])
-    @example(grid=gen_random(4, 4, 2, 23), picks=[(10, 3), (9, 7)])
-    @example(grid=ColorGrid(2, 2, 1, (0,) * 4), picks=[(14, 5)])
-    @example(grid=gen_random(4, 4, 2, 3), picks=[(4, 6), (1, 9)])
-    def test_probe_every_pair(self, grid, picks):
+    def test_probe_every_pair(self):
         # each pick merges two live parts and then the forced chain below
         # it, so the state stays constructible; the index built there must
         # give, for every pair of live parts whatever their colours, the
-        # first conflict of the state merging them would make
-        engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
-        nxt, mn = engine.nxt, engine.mn
-        for i, j in picks:
-            live = live_anchors(nxt, mn)
-            lo, hi = sorted((live[i % len(live)], live[j % len(live)]))
-            while lo != hi:
-                engine._apply_merge(lo, hi, engine.grid.cells[lo])
-                lo, hi = engine._find_conflict() or (0, 0)
-        index = KeyIndex(engine)
-        for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
-            expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
-            assert index.probe(lo, hi) == expected, (lo, hi)
+        # first conflict of the state merging them would make.  Every
+        # redirect case of both node kinds must come up.
+        seen = set()
 
+        @settings(max_examples=200, deadline=None)
+        @given(
+            grid=small_grids(max_cells=16),
+            picks=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
+        )
+        # merging parts 0 and 5 here links no root of part 5's key, which the
+        # merged part 0 then shares
+        @example(grid=ColorGrid(2, 4, 1, (0,) * 8), picks=[(14, 12), (6, 14), (8, 10), (15, 3)])
+        # merging same-coloured parts anchored one above the other (hi = lo + m)
+        # links hi's N root onto lo's and then hi's S root, which is lo's N
+        # root, onto lo's S root, so the first link's root must be re-pointed;
+        # parts side by side in a row (hi = lo + 1) do the same with E and W.
+        # Here a probe that left it pointing at lo's N root (the first two) or
+        # E root (the last two) gets some such pair wrong.
+        @example(grid=ColorGrid(3, 3, 1, (0,) * 9), picks=[(12, 6)])
+        @example(grid=gen_random(4, 4, 2, 23), picks=[(10, 3), (9, 7)])
+        @example(grid=ColorGrid(2, 2, 1, (0,) * 4), picks=[(14, 5)])
+        @example(grid=gen_random(4, 4, 2, 3), picks=[(4, 6), (1, 9)])
+        # this state has pairs that share their N and S classes, and pairs
+        # that share their E and W classes, so one kind links nothing
+        @example(grid=gen_random(3, 3, 2, 21), picks=[(0, 15), (15, 4), (0, 13), (12, 5)])
+        def check(grid, picks):
+            engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
+            nxt, mn = engine.nxt, engine.mn
+            for i, j in picks:
+                live = live_anchors(nxt, mn)
+                lo, hi = sorted((live[i % len(live)], live[j % len(live)]))
+                while lo != hi:
+                    engine._apply_merge(lo, hi, engine.grid.cells[lo])
+                    lo, hi = engine._find_conflict() or (0, 0)
+            index = KeyIndex(engine)
+            for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
+                expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
+                assert index.probe(lo, hi) == expected, (lo, hi)
+                seen.update(zip(("N/S", "E/W"), redirect_cases(engine, lo, hi)))
+
+        check()
+        cases = ("none", "first", "second", "both", "re-pointed")
+        assert seen == set(itertools.product(("N/S", "E/W"), cases)), seen
 
     @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
     def test_dead_children_are_not_made(self, name):

@@ -12,7 +12,9 @@ runs N plain passes over them alternating with N timed ones.  For each
 step it reports the calls per pass, the microseconds per call and the
 share of the best plain pass, taken from the timed pass in which the
 step cost least.  The timer's own cost, the least it records per call
-around an empty function, is taken off every call.
+around an empty function, is measured next to every timed pass, as it
+drifts between runs; the least of those is taken off every call, and
+the table reports their range.
 
 Every result of every pass is checked against ``perfbench/reference.json``
 and re-verified by simulation; if one fails, no table is printed and the
@@ -110,7 +112,7 @@ def measure(workload: str, passes: int) -> tuple[dict | None, list[str]]:
     None with the failed checks when a result differs from its reference."""
     reference = workloads.load_reference()[workload]
     solves = workloads.make_solves(patsolve, workload)
-    offset = timer_offset()
+    offsets = []
     best_pass = float("inf")
     least = [float("inf")] * len(STEPS)
     counts = set()
@@ -119,15 +121,18 @@ def measure(workload: str, passes: int) -> tuple[dict | None, list[str]]:
         elapsed, bad = one_pass(solves, reference)
         best_pass = min(best_pass, elapsed)
         slots = [[0, 0.0] for _ in STEPS]
+        offsets.append(timer_offset())
         _, bad_timed = one_pass(solves, reference, slots)
         failures += bad + bad_timed
         counts.add(tuple(calls for calls, _ in slots))
-        least = [min(s, seconds - calls * offset) for s, (calls, seconds) in zip(least, slots)]
+        least = [min(s, seconds) for s, (_, seconds) in zip(least, slots)]
     if len(counts) > 1:
         failures.append("call counts differ between passes")
     if failures:
         return None, failures
     (calls,) = counts
+    offset = min(offsets)
+    least = [s - n * offset for n, s in zip(calls, least)]
     rows = [
         {
             "name": name,
@@ -142,14 +147,17 @@ def measure(workload: str, passes: int) -> tuple[dict | None, list[str]]:
         "passes": passes,
         "pass_s": best_pass,
         "timer_offset_us": offset * 1e6,
+        "timer_offset_range_us": [offset * 1e6, max(offsets) * 1e6],
         "rows": rows,
     }, []
 
 
 def format_table(table: dict) -> str:
+    lo, hi = table["timer_offset_range_us"]
     out = [
         f"{table['workload']}: best of {table['passes']} passes {table['pass_s']:.4f} s; "
-        f"timer offset {table['timer_offset_us']:.3f} us/call taken off",
+        f"timer offset {table['timer_offset_us']:.3f} us/call taken off "
+        f"(range {lo:.3f}-{hi:.3f} over {table['passes']} timed passes)",
         f"{'step':<26} {'calls':>8} {'us/call':>9} {'share':>7}",
     ]
     for r in table["rows"]:
