@@ -44,8 +44,8 @@ few whose keys the merge would move, without scanning every part and
 without applying the merge.
 Most children die at once, and a child whose probed conflict is fatal
 (across colours, or a pair in the child's clique) is counted as a merge
-but never applied or undone; only with an observer attached is every
-child made, so that the observer sees it.  Nodes after a forced merge
+but never applied or undone; an observed solve builds no index, so
+every child it sees is made and scanned.  Nodes after a forced merge
 scan, so a forced chain syncs the index once, at its constructible end.
 The isolated vertices are walked off the live list lazily, since most
 children die at once, and listed only when a deviation draw needs the
@@ -226,7 +226,7 @@ class _Engine:
     merge takes one part away, so a node d merges deep has m*n - d parts.
     """
 
-    def __init__(self, grid, cfg, progress, on_incumbent, observer, use_bound):
+    def __init__(self, grid, cfg, progress, on_incumbent, observer):
         # Keep to at most 29 instance attributes.  CPython 3.11 keeps that
         # many in its specialized per-class layout; one more turns every
         # ``self.`` load of the search loop into a dict lookup (with a
@@ -239,7 +239,6 @@ class _Engine:
         self.progress = progress
         self.on_incumbent = on_incumbent
         self.observer = observer
-        self.use_bound = use_bound
         self.rng = SplitMix64(cfg.rng_seed)
 
         # the edge nodes (see the class docstring), each its own root:
@@ -275,12 +274,14 @@ class _Engine:
         # while its last merge record (None at the root) is on the path:
         # (that record, ascending part anchors, verified tile system, class
         # count, trace).  Holding the record keeps its identity unique, and
-        # a record taken off the path is never pushed again.
-        self.last: tuple | None = None
+        # a record taken off the path is never pushed again.  The root's
+        # entry, with its empty trace, is the first.
+        self.last: tuple = self.root
 
         self.path: list[tuple] = []  # merge records of the current path
+        # an observed solve makes and scans every child, so it needs none
         self.keys = None
-        if mn >= _KEYED_PARTS:
+        if mn >= _KEYED_PARTS and observer is None:
             self.keys = KeyIndex(self)
 
     # -- merge and undo -----------------------------------------------------
@@ -443,14 +444,14 @@ class _Engine:
 
     def _adopt_incumbent(self) -> None:
         """Adopt the current node, of fewer parts than ``best``, as the
-        incumbent: coarsen the rows of the last one, of ``best`` parts and
-        m*n - best merges deep, when it is an ancestor, else the root's
-        (see the module docstring)."""
+        incumbent: coarsen the rows of the last one, whose anchors give its
+        depth, when it is an ancestor, else the root's (see the module
+        docstring).  The root's entry is the first ``last``, so the root
+        derives from itself."""
         path, last, grid = self.path, self.last, self.grid
-        depth = self.mn - self.best
-        if last is not None and (not depth or path[depth - 1] is last[0]):
-            ancestor = last  # its path is still a prefix of ours
-        else:
+        depth = self.mn - len(last[1])
+        ancestor = last  # while its path is still a prefix of ours
+        if depth and path[depth - 1] is not last[0]:
             ancestor, depth = self.root, 0
         _, anchors, table, num_classes, _ = ancestor
         pairs = [(bisect_left(anchors, r[1]), bisect_left(anchors, r[2])) for r in path[depth:]]
@@ -474,7 +475,7 @@ class _Engine:
                 f"internal error: incumbent of size {size} failed "
                 f"verification: {report.failure}"
             )
-        trace = (*last[4], (self.merges, size)) if last is not None else ((self.merges, size),)
+        trace = (*last[4], (self.merges, size))
         self.last = (path[-1] if path else None, anchors, table, num_classes, trace)
         self.best = size
         if self.on_incumbent is not None:
@@ -510,9 +511,9 @@ class _Engine:
         also rewinds a dead forced chain; undo leaves the key index alone,
         since each synced node restores it as it ends.  A child of the node
         the index is synced at is probed first (``keys.depth`` equals the
-        depth only there), and made only if its conflict is not fatal or
-        an observer is attached.  A cutoff abandons the state mid-tree: the
-        engine is not used after it."""
+        depth only there), and made only if its conflict is not fatal.  A
+        cutoff abandons the state mid-tree: the engine is not used after
+        it."""
         keys, path, colors, clique = self.keys, self.path, self.grid.cells, self.clique
         observer = self.observer
         stack: list[tuple] = []
@@ -557,7 +558,7 @@ class _Engine:
                 if not probed:
                     break
                 conflict = keys.probe(lo, hi)
-                if conflict is None or observer is not None:
+                if conflict is None:
                     break
                 p1, p2 = conflict
                 c = colors[p1]
@@ -577,7 +578,7 @@ class _Engine:
                 conflict = self._find_conflict()
 
     def _pruned(self) -> bool:
-        return self.use_bound and self.bound >= self.best
+        return self.bound >= self.best
 
     def _isolated(self):
         """The live anchors outside their colour's clique from here on, in
@@ -658,7 +659,6 @@ def solve(
     progress=None,
     on_incumbent=None,
     observer=None,
-    use_bound: bool = True,
 ) -> SolveResult:
     """Find a minimum (or best-within-cutoff) tile set for a grid.
 
@@ -673,21 +673,18 @@ def solve(
     ``cfg.report_every`` merges; ``on_incumbent`` as (merges, size,
     system, partition) on improvements; ``observer`` with a NodeInfo at
     every visited node (slow, meant for audits; perfbench counts nodes
-    with it).  ``use_bound=False`` switches off the bound prune and keeps
-    the excluded-pair exclusions; it exists for testing, so that observed
-    searches reach deep nodes with large cliques and so that pruning
-    soundness can be checked (``tests/test_search.py``: ``TestNodeApi``,
-    ``visited_nodes`` and ``TestPruningIsSound``).  The search keeps its
-    path on an explicit stack, so the depth of the tree is bounded by
-    memory alone and no process-wide state, the recursion limit
-    included, is read or changed.
+    with it).  An observed solve builds no key index, so every child is
+    made and seen, and it walks the tree as a plain solve does, to the
+    same trace.  The search keeps its path on an explicit stack, so the
+    depth of the tree is bounded by memory alone and no process-wide
+    state, the recursion limit included, is read or changed.
     """
-    engine = _Engine(grid, cfg, progress, on_incumbent, observer, use_bound)
+    engine = _Engine(grid, cfg, progress, on_incumbent, observer)
     interrupted = False
     try:
         proven = engine._run()
     except KeyboardInterrupt:
-        if engine.last is None:
+        if not engine.last[4]:
             raise  # stopped before the first incumbent was verified
         proven, interrupted = False, True
     system, part = engine._hand_out()

@@ -17,9 +17,16 @@ and for the exact proofs of ``PROVEN_OPTIMA``.  These digests were
 recorded from the program before incumbent adoption was reworked for
 speed, so a faster adoption must still hand out byte-identical tile
 sets, made of ``Tile`` values.
+
+The nodes an observer sees are pinned as well: a node count and a
+SHA-256 over every ``NodeInfo`` field of the observed node stream of two
+keyed solves (grids of at least 64 cells), recorded while an observed
+solve still built the key index, so an observed solve must visit the
+same nodes whether or not it builds one.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
@@ -32,6 +39,7 @@ from patsolve import (
     gen_sierpinski,
     solve,
 )
+import patsolve.search as search_module
 from helpers import PROVEN_OPTIMA
 
 SIERPINSKI16_SEED0 = (
@@ -192,3 +200,63 @@ def test_golden_outputs_of_proven_optima():
     for _, make_grid, n, _ in PROVEN_OPTIMA:
         solve_hashing_incumbents(make_grid(n, n), SolveConfig.exact(seed=0), digest)
     assert digest.hexdigest() == OUTPUT_DIGESTS["proven_optima"]
+
+
+# node count and SHA-256 of the observed node stream (see the module docstring)
+OBSERVED_STREAMS = {
+    "sierpinski16/seed0": (
+        lambda: gen_sierpinski(16, 16), SolveConfig.anytime(2000, seed=0),
+        2001, "9ed01c453d01b9a266b7fc75631b54f76570130209024106ca098228a5966854",
+    ),
+    "random16/grid100": (
+        lambda: gen_random(16, 16, 2, 100), SolveConfig.anytime(2000, seed=100),
+        2001, "f8370ab24372fb4f35eee106b7c05b4fe148be47df660946de42963373d3d869",
+    ),
+}
+
+
+def observed_stream(grid, cfg):
+    """The number of nodes an observed solve visits and a SHA-256 over
+    every field of each ``NodeInfo`` it is handed, cliques sorted."""
+    digest = hashlib.sha256()
+    count = [0]
+
+    def record(info):
+        count[0] += 1
+        digest.update(repr((
+            info.signature,
+            info.part_anchors,
+            tuple(sorted(c) for c in info.cliques),
+            info.num_parts,
+            info.bound,
+            info.constructible,
+            info.merges,
+        )).encode())
+
+    solve(grid, cfg, observer=record)
+    return count[0], digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_STREAMS))
+def test_observed_node_stream(name):
+    make_grid, cfg, nodes, sha = OBSERVED_STREAMS[name]
+    assert observed_stream(make_grid(), cfg) == (nodes, sha)
+
+
+def test_observed_solves_build_no_key_index():
+    # an observed solve makes and scans every child, so even on a grid the
+    # key index serves it builds none; a plain solve of the same grid does
+    engines = []
+
+    class Engine(search_module._Engine):
+        def _run(self):
+            engines.append(self)
+            return super()._run()
+
+    make_grid, cfg, _, _ = OBSERVED_STREAMS["sierpinski16/seed0"]
+    grid = make_grid()
+    assert grid.m * grid.n >= search_module._KEYED_PARTS
+    with mock.patch.object(search_module, "_Engine", Engine):
+        solve(grid, cfg, observer=lambda info: None)
+        solve(grid, cfg)
+    assert engines[0].keys is None and engines[1].keys is not None

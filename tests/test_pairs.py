@@ -107,6 +107,25 @@ def test_json_keeps_an_incorrect_run(tmp_path, capsys):
     assert (record["incorrect_runs"], record["summary"]) == (1, [])
 
 
+def test_interrupt_leaves_an_existing_record_as_it_was(tmp_path, monkeypatch):
+    # a Ctrl-C during the runs must neither truncate the record it was to
+    # replace nor leave its temporary file behind
+    path = tmp_path / "BENCH_0.json"
+    path.write_text('{"kept": true}\n')
+    before = path.read_bytes()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pairs, "run_once", interrupted)
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "random16", "--pairs", "1",
+            "--seconds", "1", "--seed-base", "0", "--json", str(path)]
+    with pytest.raises(KeyboardInterrupt):
+        pairs.main(argv)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_0.json"]
+
+
 @pytest.mark.parametrize("target", ["dir", "missing/bench.json"])
 def test_unwritable_json_fails_before_any_run(tmp_path, capsys, target):
     # neither checkout exists, so reaching a run would raise instead

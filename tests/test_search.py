@@ -78,11 +78,27 @@ class TestSolveConfig:
             SolveConfig(**{"mode": "anytime", "cutoff_merges": 10, field: value})
 
 
-def observe(grid, seed=0, **options):
-    """Every node the engine visits on an exact solve, in visiting order,
-    as (NodeInfo, Partition) pairs."""
+class UnboundedEngine(search_module._Engine):
+    """The engine with the bound prune off and the excluded-pair
+    exclusions kept, so that observed searches reach deep nodes with large
+    cliques and so that the prune's soundness can be checked."""
+
+    def _pruned(self):
+        return False
+
+
+def solve_unbounded(grid, cfg, **options):
+    with mock.patch.object(search_module, "_Engine", UnboundedEngine):
+        return solve(grid, cfg, **options)
+
+
+def observe(grid, seed=0, unbounded=False):
+    """Every node the engine (or ``UnboundedEngine``) visits on an exact
+    solve, in visiting order, as (NodeInfo, Partition) pairs."""
     seen = []
-    solve(grid, SolveConfig.exact(seed=seed), observer=seen.append, **options)
+    (solve_unbounded if unbounded else solve)(
+        grid, SolveConfig.exact(seed=seed), observer=seen.append
+    )
     return [(info, partition_from_labels(grid.m, grid.n, info.part_anchors)) for info in seen]
 
 
@@ -107,7 +123,7 @@ class TestNodeApi:
 
     def test_lower_bound_arithmetic(self):
         # without the bound the search reaches nodes with large cliques
-        nodes = observe(gen_random(3, 3, 3, 4), use_bound=False)
+        nodes = observe(gen_random(3, 3, 3, 4), unbounded=True)
         assert max(len(c) for info, _ in nodes for c in info.cliques) >= 3
         for info, _ in nodes:
             assert info.bound == sum(max(1, len(c)) for c in info.cliques)
@@ -119,7 +135,7 @@ class TestNodeApi:
         root = initial_partition(2, 2)
         pairs = [(a, b) for a, b in itertools.combinations(range(4), 2)
                  if g.cells[a] == g.cells[b]]
-        children = [part for info, part in observe(g, seed=3, use_bound=False)
+        children = [part for info, part in observe(g, seed=3, unbounded=True)
                     if info.num_parts == 3]
         assert sorted(c.labels for c in children) == sorted(
             merge_parts(root, a, b).labels for a, b in pairs
@@ -129,7 +145,7 @@ class TestNodeApi:
         # sum over colours of C(n_k, 2) at a fresh root
         for g in (ColorGrid(3, 3, 2, (0, 0, 1, 0, 1, 1, 0, 1, 0)), gen_random(3, 3, 3, 4)):
             counts = [g.cells.count(c) for c in range(g.k)]
-            nodes = observe(g, use_bound=False)
+            nodes = observe(g, unbounded=True)
             children = [info for info, _ in nodes if info.num_parts == g.m * g.n - 1]
             assert len(children) == sum(c * (c - 1) // 2 for c in counts)
 
@@ -170,12 +186,13 @@ def visited_nodes():
     """Every node the engine visits on the sample grids and on random 4x4
     grids, as (grid, NodeInfo, partition, ``constructibility`` verdict,
     next node's partition or None).  The sample grids run with the bound
-    off, so that the search goes deep enough to meet excluded pairs; the
-    4x4 grids add nodes with several conflicts to choose from."""
-    runs = [(g, {"use_bound": False}) for g in sample_grids()]
-    runs += [(gen_random(4, 4, k, s), {}) for k in (2, 3) for s in range(4)]
-    for g, options in runs:
-        nodes = observe(g, seed=7, **options)
+    off (``UnboundedEngine``), so that the search goes deep enough to meet
+    excluded pairs; the 4x4 grids add nodes with several conflicts to
+    choose from."""
+    runs = [(g, True) for g in sample_grids()]
+    runs += [(gen_random(4, 4, k, s), False) for k in (2, 3) for s in range(4)]
+    for g, unbounded in runs:
+        nodes = observe(g, seed=7, unbounded=unbounded)
         for i, (info, part) in enumerate(nodes):
             after = nodes[i + 1][1] if i + 1 < len(nodes) else None
             yield g, info, part, constructibility(build_mgta(part)), after
@@ -365,7 +382,7 @@ class TestPruningIsSound:
     def test_toggles_do_not_change_optimum(self):
         for g in itertools.islice(onto_colorings(2, 3), 0, 62, 5):
             full = solve(g, SolveConfig.exact(seed=3))
-            nb = solve(g, SolveConfig.exact(seed=3), use_bound=False)
+            nb = solve_unbounded(g, SolveConfig.exact(seed=3))
             assert full.best_size == nb.best_size == enumerate_min_tileset(g).min_size
 
     def test_toggles_on_3x3(self):
@@ -611,7 +628,7 @@ class TestIncumbentDerivation:
         # off the last incumbent's path, an incumbent is derived from the
         # root through every merge on the path, each checked for colour
         grid = ColorGrid(2, 2, 2, (0, 1, 1, 0))
-        engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
+        engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None)
         engine._adopt_incumbent()  # the root
         engine.path.append(engine._apply_merge(0, 3, 0))
         engine._adopt_incumbent()
@@ -797,9 +814,7 @@ class TestInterrupt:
 def test_engine_attributes_fit_the_specialized_layout():
     # CPython 3.11 specializes ``self.x`` loads only on instances of at most
     # 29 attributes; a 30th engine attribute slowed exact_random by about 9%
-    engine = search_module._Engine(
-        gen_sierpinski(5, 5), SolveConfig.exact(), None, None, None, True
-    )
+    engine = search_module._Engine(gen_sierpinski(5, 5), SolveConfig.exact(), None, None, None)
     assert engine._run()
     assert len(vars(engine)) <= 29, sorted(vars(engine))
 
@@ -809,7 +824,7 @@ def test_engine_starts_with_every_node_its_own_root(m, n):
     # one node per grid edge, 2mn+m+n in all, none linked before a merge:
     # undo pops every link, and no identification is installed at start
     engine = search_module._Engine(
-        ColorGrid(m, n, 1, (0,) * (m * n)), SolveConfig.exact(), None, None, None, True
+        ColorGrid(m, n, 1, (0,) * (m * n)), SolveConfig.exact(), None, None, None
     )
     assert engine.parent == list(range(2 * m * n + m + n))
     assert engine.trail == []
@@ -1129,7 +1144,7 @@ class TestKeyIndex:
         # that share their E and W classes, so one kind links nothing
         @example(grid=gen_random(3, 3, 2, 21), picks=[(0, 15), (15, 4), (0, 13), (12, 5)])
         def check(grid, picks):
-            engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None, True)
+            engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None)
             nxt, mn = engine.nxt, engine.mn
             for i, j in picks:
                 live = live_anchors(nxt, mn)
@@ -1150,7 +1165,7 @@ class TestKeyIndex:
     @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
     def test_dead_children_are_not_made(self, name):
         # a child of the synced node whose probed conflict is fatal is
-        # counted but never applied, unless an observer is attached: then
+        # counted but never applied; an observed solve builds no index, so
         # every child is made, and the search must be the same either way
         grid, cfg, keyed_parts = SHORTCUT_SOLVES[name]()
         real_apply = search_module._Engine._apply_merge
@@ -1191,7 +1206,7 @@ class TestKeyIndex:
         assert plain.trace == observed.trace
         assert plain.merges_performed == observed.merges_performed
         assert emit_tileset(plain.best_system) == emit_tileset(observed.best_system)
-        assert observed_applies == observed.merges_performed and observed_dead
+        assert observed_applies == observed.merges_performed and not observed_dead
         assert plain_applies < plain.merges_performed and not plain_dead
 
     @pytest.mark.slow

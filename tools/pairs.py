@@ -14,17 +14,21 @@ parent's median with its quartiles, the change's median, the pairs the
 change won (strictly better, in the metric's ``better`` direction) and
 the median of the per-pair ratios change/parent.  ``--json PATH`` also
 writes the command line, workload, run length, seeds, each pair's metric
-values and the summary rows to PATH, as the record of a speed claim; the
-file is opened before the first run, so an unwritable PATH fails at
-once.  ``--workload`` takes the names of ``BENCHMARK.json``'s workloads,
-so a bad name also fails before any run.  Exit status is 1 when any run
-was not correct (it exited nonzero or reported ``"correct": false``), 2
-on a usage error, and 0 otherwise.
+values and the summary rows to PATH, as the record of a speed claim.
+The record is written to a temporary file beside PATH, opened before
+the first run so that an unwritable PATH fails at once, and moved onto
+PATH with ``os.replace`` only once it is whole, so a run stopped early
+(a Ctrl-C included) leaves PATH as it was.  ``--workload`` takes the
+names of ``BENCHMARK.json``'s workloads, so a bad name also fails before
+any run.  Exit status is 1 when any run was not correct (it exited
+nonzero or reported ``"correct": false``), 2 on a usage error, and 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import statistics
@@ -118,8 +122,11 @@ def main(argv=None) -> int:
         ap.error("--pairs and --seconds must be positive")
     out = None
     if args.json is not None:
+        tmp = args.json.with_name(f".{args.json.name}.{os.getpid()}.tmp")
         try:
-            out = open(args.json, "w", encoding="utf-8")
+            if args.json.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            out = open(tmp, "w", encoding="utf-8")
         except OSError as exc:
             ap.error(f"cannot write {args.json}: {exc.strerror}")
     try:
@@ -161,9 +168,13 @@ def main(argv=None) -> int:
                 "summary": rows,
             }, out, indent=1)
             out.write("\n")
-    finally:
+            out.close()
+            os.replace(tmp, args.json)
+    except BaseException:
         if out is not None:
             out.close()
+            os.unlink(tmp)
+        raise
     return 1 if incorrect else 0
 
 
