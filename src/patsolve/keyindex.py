@@ -20,15 +20,17 @@ indexed node from the few parts the child's merge would touch, without
 applying the merge: it maps each root the merge would link straight to
 the root its class would end at.  A merge links at most two roots of
 each node kind, so the map is at most two (moved root, final root) pairs
-per kind, held in locals and read by integer comparisons.  ``sync``
-moves the index down to a constructible descendant in place, reading
-the merges since the indexed node off the engine's path past the index's
-depth: their records name the gone parts, and the first one's trail mark
-starts the roots linked since.  It rekeys each anchor in the buckets of
-those roots and returns their old roots.  ``restore`` moves the index
-back up from those saved roots, so it needs no ``find`` and can run
-while the engine still sits at the descendant, as the node that synced
-ends.
+per kind, held in locals and read by integer comparisons.  The probes
+of one vertex against its clique mostly move the same roots, so ``memo``
+keeps the sorted anchors of each set of moved roots' buckets until
+``sync`` or ``restore`` next moves the index.  ``sync`` moves it down to
+a constructible descendant in place, reading the merges since the
+indexed node off the engine's path past the index's depth: their
+records name the gone parts, and the first one's trail mark starts the
+roots linked since.  It rekeys each anchor in the buckets of those roots
+and returns their old roots.  ``restore`` moves the index back up from
+those saved roots, so it needs no ``find`` and can run while the engine
+still sits at the descendant, as the node that synced ends.
 
 The indexed node is named by its depth alone, as a merge can link
 nothing but always adds a path record.
@@ -52,6 +54,7 @@ class KeyIndex:
         by_root: list[set[int]] = [set() for _ in range(stride)]
         self.owner, self.south, self.west, self.by_root = owner, south, west, by_root
         self.depth = len(self.path)
+        self.memo: dict[tuple[int, int, int, int], list[int]] = {}
         a = nxt[mn]
         while a != mn:
             s = a
@@ -74,13 +77,17 @@ class KeyIndex:
 
         The merge makes two links among N/S nodes (the parts' N classes,
         then their S classes) and two among E/W nodes.  Each link is one
-        (moved root, final root) pair in locals, a root linking nothing
-        mapping to itself; when the second link moves where the first one
-        ended (hi's S root, after the first, is lo's N root), the first
+        (moved root, final root) pair in locals, the moved root -1 where
+        the link moves nothing; when the second link moves where the first
+        one ended (hi's S root, after the first, is lo's N root), the first
         one's final root is re-pointed.  Only the anchors in a moved
         root's bucket change key, and ``hi`` is gone; each is rekeyed by
         comparing its S root with the N/S pairs' moved roots and its W
-        root with the E/W pairs'.
+        root with the E/W pairs'.  The sorted touched anchors depend only
+        on the four moved roots, so ``memo`` keeps them by those until
+        ``sync`` or ``restore`` changes a bucket: at most one entry per
+        probe of the indexed node's children, each no longer than the
+        buckets it copies.
         The full scan returns, among the key groups of two or more live
         parts, the group whose second-smallest anchor is least, paired
         with that group's smallest anchor.  Only groups holding a touched
@@ -105,35 +112,47 @@ class KeyIndex:
             e1 = p[e1]
         # Each kind takes at most two links: n1 -> n0, then hi's S root sy
         # -> lo's S root sx (both as the first link leaves them); likewise
-        # e1 -> e0 and wy -> wx.  A pair that links nothing maps a root to
-        # itself, so only a moved root's bucket is collected.
-        by_root = self.by_root
-        touched: list[int] = []  # an anchor in two buckets comes twice, side by side
-        if n0 != n1:
-            touched += by_root[n1]
+        # e1 -> e0 and wy -> wx.  A link that moves nothing has moved root
+        # -1, no anchor's root, so its bucket is not collected.
+        if n1 == n0:
+            n1 = -1
         sx = south[lo]
         if sx == n1:
             sx = n0
         sy = south[hi]
         if sy == n1:
             sy = n0
-        if sx != sy:
-            touched += by_root[sy]
-            if sy == n0:
-                n0 = sx  # n1's class ends where n0's moved
-        if e0 != e1:
-            touched += by_root[e1]
+        if sy == sx:
+            sy = -1
+        elif sy == n0:
+            n0 = sx  # n1's class ends where n0's moved
+        if e1 == e0:
+            e1 = -1
         wx = west[lo]
         if wx == e1:
             wx = e0
         wy = west[hi]
         if wy == e1:
             wy = e0
-        if wx != wy:
-            touched += by_root[wy]
-            if wy == e0:
-                e0 = wx
-        touched.sort()
+        if wy == wx:
+            wy = -1
+        elif wy == e0:
+            e0 = wx
+        moved = (n1, sy, e1, wy)
+        touched = self.memo.get(moved)
+        if touched is None:
+            by_root = self.by_root
+            touched = []  # an anchor in two buckets comes twice, side by side
+            if n1 >= 0:
+                touched += by_root[n1]
+            if sy >= 0:
+                touched += by_root[sy]
+            if e1 >= 0:
+                touched += by_root[e1]
+            if wy >= 0:
+                touched += by_root[wy]
+            touched.sort()
+            self.memo[moved] = touched
         owner, stride = self.owner, self.stride
         seen: dict[int, int] = {}
         best = None
@@ -180,6 +199,7 @@ class KeyIndex:
         buckets of a root that changed.  A moved key holds a linked root
         and a new one none, so no key is ever taken before it is freed."""
         depth = self.depth
+        self.memo.clear()
         since = self.path[depth:]
         gone = [rec[2] for rec in since]
         by_root = self.by_root
@@ -223,6 +243,7 @@ class KeyIndex:
         root that changed, so nothing is found again; then the gone parts
         come back, whose ``south`` and ``west`` were never rekeyed."""
         depth, saved, gone = token
+        self.memo.clear()
         owner, by_root, stride = self.owner, self.by_root, self.stride
         south, west = self.south, self.west
         for a, s, w in saved:

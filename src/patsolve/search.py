@@ -35,21 +35,21 @@ order, with equal (S-root, W-root) keys.  While a constructible node has
 at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
 synced to it in place (built at the root), and the node restores the
 index when it ends, after undoing its clique joins: like those joins,
-what a node does on entry it undoes at its exit.  Each child of the
-synced node is probed before it is made: the index maps each root the
-merge would link straight to the root it would end under, at most two
-pairs per node kind held in locals, and finds the child's first
-conflict from the parts in those roots' buckets (one per edge node), the
-few whose keys the merge would move, without scanning every part and
-without applying the merge.
-Most children die at once, and a child whose probed conflict is fatal
-(across colours, or a pair in the child's clique) is counted as a merge
-but never applied or undone; an observed solve builds no index, so
-every child it sees is made and scanned.  Nodes after a forced merge
-scan, so a forced chain syncs the index once, at its constructible end.
-The isolated vertices are walked off the live list lazily, since most
-children die at once, and listed only when a deviation draw needs the
-rest of the walk; the random draws are the same either way.
+what a node does on entry it undoes at its exit.  The synced node
+probes each of its children itself before it yields it: the index maps
+each root the merge would link straight to the root it would end under,
+at most two pairs per node kind held in locals, and finds the child's
+first conflict from the parts in those roots' buckets (one per edge
+node), the few whose keys the merge would move, without scanning every
+part and without applying the merge.  Most children die at once: one
+whose probed conflict is fatal (across colours, or a pair in the child's
+clique) is counted as a merge by the node and never yielded, applied or
+undone, and a live one reaches ``_run`` with its probed conflict.  An
+observed solve builds no index, so every child it sees is made and
+scanned.  Nodes after a forced merge scan, so a forced chain syncs the
+index once, at its constructible end.  The isolated vertices are walked
+off the live list lazily, since most children die at once, and a
+deviation draw lists the walk only as far as the vertex it takes.
 
 Adopting an incumbent rebuilds nothing and carries no per-cell labels:
 its partition coarsens every partition above it on the path, so its
@@ -122,6 +122,10 @@ _DEVIATION = 32
 # Grids of fewer cells never build the index: with it synced at every size,
 # exact solves of random 4x4 and 5x5 grids ran about 1.3x slower.
 _KEYED_PARTS = 64
+
+# A child yielded with this in place of its conflict was not probed: it is
+# scanned once it is made.
+_SCAN = object()
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -509,12 +513,11 @@ class _Engine:
         edges, one per merge, so its length is the depth.  Before a node
         is asked for its next child, the merges below it are undone, which
         also rewinds a dead forced chain; undo leaves the key index alone,
-        since each synced node restores it as it ends.  A child of the node
-        the index is synced at is probed first (``keys.depth`` equals the
-        depth only there), and made only if its conflict is not fatal.  A
-        cutoff abandons the state mid-tree: the engine is not used after
-        it."""
-        keys, path, colors, clique = self.keys, self.path, self.grid.cells, self.clique
+        since each synced node restores it as it ends.  Each child comes
+        with its first conflict, probed by the node that yields it, or
+        ``_SCAN``: then the child is scanned once it is made.  A cutoff
+        abandons the state mid-tree: the engine is not used after it."""
+        path, colors, clique = self.path, self.grid.cells, self.clique
         observer = self.observer
         stack: list[tuple] = []
         conflict = self._find_conflict()
@@ -538,66 +541,44 @@ class _Engine:
                 path.append(self._apply_merge(p1, p2, col))
                 self._tick()
                 conflict = self._find_conflict()
-            # the next child of the deepest constructible node that has one,
-            # skipping the children the probe finds dead
-            while True:
-                while stack:
-                    children, depth = stack[-1]
-                    while len(path) > depth:
-                        self._undo_merge(path.pop())
-                    move = next(children, None)
-                    if move is not None:
-                        break
-                    stack.pop()
-                else:
-                    return True
-                if self.merges >= self.cutoff:
-                    return False
-                lo, hi, col = move
-                probed = keys is not None and keys.depth == len(path)
-                if not probed:
+            # the next child of the deepest constructible node that has one
+            while stack:
+                children, depth = stack[-1]
+                while len(path) > depth:
+                    self._undo_merge(path.pop())
+                move = next(children, None)
+                if move is not None:
                     break
-                conflict = keys.probe(lo, hi)
-                if conflict is None:
-                    break
-                p1, p2 = conflict
-                c = colors[p1]
-                if colors[p2] == c:
-                    # excluded in the child: both in its clique, where lo
-                    # stands for hi (hi is in no other colour's clique)
-                    cl = clique[c]
-                    lo_in = hi in cl
-                    if not (
-                        (p1 in cl or lo_in and p1 == lo) and (p2 in cl or lo_in and p2 == lo)
-                    ):
-                        break
-                self._tick()
+                stack.pop()
+            else:
+                return True
+            if self.merges >= self.cutoff:
+                return False
+            lo, hi, col, conflict = move
             path.append(self._apply_merge(lo, hi, col))
             self._tick()
-            if not probed:
+            if conflict is _SCAN:
                 conflict = self._find_conflict()
 
     def _pruned(self) -> bool:
         return self.bound >= self.best
 
-    def _isolated(self):
-        """The live anchors outside their colour's clique from here on, in
-        canonical order (the order of the live list), tested as reached."""
-        nxt, mn, colors, clique = self.nxt, self.mn, self.grid.cells, self.clique
-        a = nxt[mn]
-        while a != mn:
-            if a not in clique[colors[a]]:
-                yield a
-            a = nxt[a]
-
     def _node(self):
         """Yield the children of the constructible node the state sits on,
-        as merges (lo, hi, colour); the state is back at this node whenever
-        a child is asked for.  The node may become the incumbent first; it
-        yields its children in clique order, and after the last one undoes
-        its clique joins and restores the key index if it synced it.  A
-        cutoff abandons the generator, so that undo is not in a
-        ``finally``: it would run at garbage collection."""
+        as merges (lo, hi, colour, conflict); the state is back at this
+        node whenever a child is asked for.  The node may become the
+        incumbent first; it yields its children in clique order, and after
+        the last one undoes its clique joins and restores the key index if
+        it synced it.  A cutoff abandons the generator, so that undo is not
+        in a ``finally``: it would run at garbage collection.
+
+        Where the index sits at this node on entry (it synced here, or this
+        is the root), the node probes each child first and only counts one
+        whose conflict is fatal; a live one comes with its probed conflict,
+        any other child with ``_SCAN``.  Only a join or a child out moves
+        the bound or ``best``, so the prune is asked at a vertex's first
+        member and after a yield.  At the cutoff a child is yielded
+        unprobed, so a run of dead children ends at exactly the cutoff."""
         colors, clique, keys, path = self.grid.cells, self.clique, self.keys, self.path
         num_parts = self.mn - len(path)
         if num_parts < self.best:
@@ -607,37 +588,65 @@ class _Engine:
         synced = None
         if keys is not None and path and num_parts >= _KEYED_PARTS:
             synced = keys.sync()
+        probe = keys.probe if keys is not None and keys.depth == len(path) else None
+        cutoff, nxt, rng = self.cutoff, self.nxt, self.rng
 
         # Isolated vertices, taken lazily in canonical anchor order; ``left``
         # counts those not yet taken.  Each vertex is paired against the
         # clique of its colour, then joins it.  Taking vertices in assembly
         # order makes the first descent sweep the grid the way the seed grows
         # it, which on structured patterns keeps the forced-merge cascades
-        # productive.  One pick in _DEVIATION departs from that order (the
-        # rest of the walk is listed for it); together with the member
-        # shuffle below this is the randomization between same-config runs.
+        # productive.  One pick in _DEVIATION departs from that order: it
+        # swaps the next vertex with the j-th after it, so the walk is listed
+        # into ``ahead`` only that far.  Together with the member shuffle
+        # below this is the randomization between same-config runs.
+        a = self.mn  # the walk's last anchor; the list's sentinel at first
+        ahead: list[int] = []  # isolated vertices listed; from pos on, not yet taken
+        pos = 0
         left = num_parts - sum(map(len, clique))
-        rest = self._isolated()
         joins: list[tuple[int, int]] = []
         stop = False
         while left and not stop:
-            if left > 1 and self.rng.randrange(_DEVIATION) == 0:
-                todo = list(rest)
-                j = self.rng.randrange(left)
-                todo[0], todo[j] = todo[j], todo[0]
-                rest = iter(todo)
-            v = next(rest)
+            if left > 1 and rng.randrange(_DEVIATION) == 0:
+                j = pos + rng.randrange(left)
+                while len(ahead) <= j:
+                    a = nxt[a]
+                    if a not in clique[colors[a]]:
+                        ahead.append(a)
+                ahead[pos], ahead[j] = ahead[j], ahead[pos]
+            if pos < len(ahead):
+                v = ahead[pos]
+                pos += 1
+            else:
+                v = a = nxt[a]
+                while v in clique[colors[v]]:
+                    v = a = nxt[a]
             left -= 1
             col = colors[v]
             cl = clique[col]
             members = sorted(cl)
             if len(members) > 1:
-                self.rng.shuffle(members)
+                rng.shuffle(members)
+            check = True
             for u in members:
-                if self._pruned():
-                    stop = True
-                    break
-                yield (v, u, col) if v < u else (u, v, col)
+                if check:
+                    if self._pruned():
+                        stop = True
+                        break
+                    check = False
+                lo, hi = (v, u) if v < u else (u, v)
+                conflict = _SCAN
+                if probe is not None and self.merges < cutoff:
+                    conflict = probe(lo, hi)
+                    if conflict is not None:
+                        p1, p2 = conflict
+                        c = colors[p1]
+                        k = clique[c]
+                        if colors[p2] != c or (p1 in k or p1 == lo) and (p2 in k or p2 == lo):
+                            self._tick()
+                            continue
+                yield lo, hi, col, conflict
+                check = True
             if not stop:
                 cl.add(v)
                 joins.append((col, v))

@@ -182,6 +182,86 @@ class TestNodeApi:
                     assert all(g.cells[a] == col for a in clique)
 
 
+class ScriptedRng:
+    """The draws ``_node`` makes, scripted: the deviation draw of pick i
+    (counted over the picks that draw one, those with more than one vertex
+    left) departs when i is in ``script``, whose value maps the number of
+    vertices left to the swap offset j; shuffles keep the order."""
+
+    def __init__(self, script):
+        self.script, self.picks, self.offset = script, 0, None
+
+    def randrange(self, n):
+        if self.offset is not None:
+            j, self.offset = self.offset(n), None
+            return j
+        assert n == search_module._DEVIATION
+        self.offset = self.script.get(self.picks)
+        self.picks += 1
+        return 1 if self.offset is None else 0
+
+    def shuffle(self, items):
+        pass
+
+
+def listed_walk(isolated, script):
+    """The isolated vertices in the order the walk takes them, by the rule
+    that lists the rest of the walk at each deviation and swaps its first
+    vertex with its j-th."""
+    rest, taken, pick = list(isolated), [], 0
+    while rest:
+        if len(rest) > 1:
+            if pick in script:
+                j = script[pick](len(rest))
+                rest[0], rest[j] = rest[j], rest[0]
+            pick += 1
+        taken.append(rest.pop(0))
+    return taken
+
+
+@pytest.mark.parametrize("script", [
+    {0: lambda left: left - 1},  # at the first pick
+    {0: lambda left: 0},
+    {3: lambda left: left // 2},  # at a later pick
+    {4: lambda left: left - 1},
+    {1: lambda left: 5, 2: lambda left: 2},  # twice in a row, within the listed vertices
+    {1: lambda left: 2, 2: lambda left: left - 1},  # twice in a row, past them
+    {0: lambda left: 0, 1: lambda left: left - 1, 2: lambda left: 0},
+], ids=["first-last", "first-zero", "later", "later-last", "twice-within", "twice-past", "thrice"])
+def test_deviations_take_the_listed_walks_vertices(script):
+    # a node of merged parts, some of them already in a clique, so the
+    # walk skips live parts; the vertices join their cliques in the order
+    # they are taken, and exhausting the node undoes the joins
+    grid = gen_random(4, 4, 2, 23)
+    engine = UnboundedEngine(grid, SolveConfig.exact(), None, None, None)
+    for lo, hi in ((3, 10), (1, 9)):
+        while lo != hi:
+            engine.path.append(engine._apply_merge(lo, hi, grid.cells[lo]))
+            lo, hi = engine._find_conflict() or (0, 0)
+    live = live_anchors(engine.nxt, engine.mn)
+    taken = []
+
+    class Clique(set):
+        def add(self, v):
+            taken.append(v)
+            super().add(v)
+
+    engine.clique = [Clique(a for a in live[2:9:3] if grid.cells[a] == col) for col in range(grid.k)]
+    assert all(engine.clique) and engine.keys is None
+    before = [set(cl) for cl in engine.clique]
+    isolated = [a for a in live if a not in engine.clique[grid.cells[a]]]
+    engine.best = 0  # no adoption; the unbounded engine prunes nothing
+    engine.rng = ScriptedRng(script)
+    children = list(engine._node())
+    assert taken == listed_walk(isolated, script)
+    assert engine.rng.picks == len(isolated) - 1
+    assert len(children) == sum(
+        len(before[grid.cells[v]]) + sum(grid.cells[u] == grid.cells[v] for u in taken[:i])
+        for i, v in enumerate(taken)
+    )
+    assert engine.clique == before
+
+
 def visited_nodes():
     """Every node the engine visits on the sample grids and on random 4x4
     grids, as (grid, NodeInfo, partition, ``constructibility`` verdict,
@@ -1119,8 +1199,13 @@ class TestKeyIndex:
         # it, so the state stays constructible; the index built there must
         # give, for every pair of live parts whatever their colours, the
         # first conflict of the state merging them would make.  Every
-        # redirect case of both node kinds must come up.
+        # redirect case of both node kinds must come up.  The pairs are
+        # probed lo-major, then hi-major twice, as a node probes one vertex
+        # against its clique, so that probes share the memo of touched
+        # anchors; then once more after a sync to a merge further down and
+        # after the restore from it, each of which must drop the memo.
         seen = set()
+        memo = {"hit": 0, "miss": 0}
 
         @settings(max_examples=200, deadline=None)
         @given(
@@ -1146,21 +1231,42 @@ class TestKeyIndex:
         def check(grid, picks):
             engine = search_module._Engine(grid, SolveConfig.exact(), None, None, None)
             nxt, mn = engine.nxt, engine.mn
+
+            def merge_down(lo, hi, records):
+                while lo != hi:
+                    records.append(engine._apply_merge(lo, hi, engine.grid.cells[lo]))
+                    lo, hi = engine._find_conflict() or (0, 0)
+
+            def probe_every_pair(index):
+                pairs = list(itertools.combinations(live_anchors(nxt, mn), 2))
+                hi_major = sorted(pairs, key=lambda pair: pair[::-1])
+                for lo, hi in pairs + hi_major + hi_major:
+                    expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
+                    size = len(index.memo)
+                    assert index.probe(lo, hi) == expected, (lo, hi)
+                    memo["miss" if len(index.memo) > size else "hit"] += 1
+                    seen.update(zip(("N/S", "E/W"), redirect_cases(engine, lo, hi)))
+
             for i, j in picks:
                 live = live_anchors(nxt, mn)
                 lo, hi = sorted((live[i % len(live)], live[j % len(live)]))
-                while lo != hi:
-                    engine._apply_merge(lo, hi, engine.grid.cells[lo])
-                    lo, hi = engine._find_conflict() or (0, 0)
+                merge_down(lo, hi, [])
             index = KeyIndex(engine)
-            for lo, hi in itertools.combinations(live_anchors(nxt, mn), 2):
-                expected = scan_conflict(engine, *merged_lists(engine, lo, hi))
-                assert index.probe(lo, hi) == expected, (lo, hi)
-                seen.update(zip(("N/S", "E/W"), redirect_cases(engine, lo, hi)))
+            probe_every_pair(index)
+            live = live_anchors(nxt, mn)
+            if len(live) > 1:
+                merge_down(live[0], live[-1], engine.path)
+                token = index.sync()
+                probe_every_pair(index)
+                while engine.path:
+                    engine._undo_merge(engine.path.pop())
+                index.restore(token)
+                probe_every_pair(index)
 
         check()
         cases = ("none", "first", "second", "both", "re-pointed")
         assert seen == set(itertools.product(("N/S", "E/W"), cases)), seen
+        assert memo["hit"] and memo["miss"], memo
 
     @pytest.mark.parametrize("name", sorted(SHORTCUT_SOLVES))
     def test_dead_children_are_not_made(self, name):
@@ -1208,6 +1314,37 @@ class TestKeyIndex:
         assert emit_tileset(plain.best_system) == emit_tileset(observed.best_system)
         assert observed_applies == observed.merges_performed and not observed_dead
         assert plain_applies < plain.merges_performed and not plain_dead
+
+    @pytest.mark.parametrize("engine", [search_module._Engine, UnboundedEngine], ids=["plain", "unbounded"])
+    @pytest.mark.parametrize("name", ["random16", "sierpinski16"])
+    def test_cutoffs_among_dead_children(self, name, engine):
+        # a synced node ticks its dead children itself and asks the prune
+        # only after a yield, so a cutoff that falls in a run of them must
+        # stop where the unindexed walk, which makes every child, stops
+        grid, cfg, _ = SHORTCUT_SOLVES[name]()
+        real_apply = search_module._Engine._apply_merge
+        applied = set()
+
+        def numbered_apply(self, lo, hi, col):
+            applied.add(self.merges + 1)
+            return real_apply(self, lo, hi, col)
+
+        def run(cutoff, **options):
+            stream = []
+            cfg_at = SolveConfig.anytime(cutoff, seed=cfg.rng_seed, report_every=1)
+            with mock.patch.object(search_module, "_Engine", engine):
+                result = solve(grid, cfg_at, progress=lambda *event: stream.append(event), **options)
+            return stream, result.merges_performed, result.trace, emit_tileset(result.best_system)
+
+        with mock.patch.object(search_module._Engine, "_apply_merge", numbered_apply):
+            run(cfg.cutoff_merges)
+        # every 37th cutoff, and the first between two dead children: the
+        # unbounded sierpinski16 walk has 10 dead children in 2000 merges
+        dead = set(range(1, cfg.cutoff_merges + 1)) - applied
+        inside = sorted(c for c in dead if c + 1 in dead)
+        assert inside
+        for cutoff in sorted({*range(1, cfg.cutoff_merges + 1, 37), inside[0]}):
+            assert run(cutoff) == run(cutoff, observer=lambda node: None), cutoff
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(KEYED_WORKLOADS))
