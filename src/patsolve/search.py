@@ -23,11 +23,11 @@ single union-find with one node per grid edge (the glue position its
 two facing cell sides share), linked by size without path compression
 so that undo is popping one trail of linked roots, whose classes are
 the glue classes of the current partition's MGTA; a doubly linked list
-of live parts in canonical order; and per-colour clique sets.  The path
-from the root is an explicit stack holding a child generator for each
-constructible node on it; a conflicted node's one merge is applied by
-the loop itself, and a dead forced chain is rewound by undoing merges
-back to the generator below it.  So no recursion limit applies and
+of live parts in canonical order; and per-colour clique sets.  The walk
+is an explicit stack of generators, one per constructible node on the
+path.  Each node makes its children itself, follows each one's forced
+merges to a constructible node, which it yields, or to a dead end, and
+then undoes the merges below it.  So no recursion limit applies and
 ``solve`` changes no process state.  Equal seeds give equal runs.
 
 A node's first conflict is the first pair of live parts, in canonical
@@ -36,18 +36,19 @@ at least ``_KEYED_PARTS`` live parts, a ``KeyIndex`` of those keys is
 synced to it in place (built at the root), and the node restores the
 index when it ends, after undoing its clique joins: like those joins,
 what a node does on entry it undoes at its exit.  The synced node
-probes each of its children itself before it yields it: the index maps
+probes each of its children before it makes it: the index maps
 each root the merge would link straight to the root it would end under,
 at most two pairs per node kind held in locals, and finds the child's
 first conflict from the parts in those roots' buckets (one per edge
 node), the few whose keys the merge would move, without scanning every
 part and without applying the merge.  Most children die at once: one
 whose probed conflict is fatal (across colours, or a pair in the child's
-clique) is counted as a merge by the node and never yielded, applied or
-undone, and a live one reaches ``_run`` with its probed conflict.  An
-observed solve builds no index, so every child it sees is made and
-scanned.  Nodes after a forced merge scan, so a forced chain syncs the
-index once, at its constructible end.  The isolated vertices are walked
+clique) is counted as a merge and never applied or undone, and a live
+one is made with its probed conflict, unscanned.  The nodes of a forced
+chain are scanned, so a chain syncs the index once, at its constructible
+end.  An observed solve builds no index, so every child is made and
+scanned; each node is observed as it is entered, and each conflicted
+node of a chain once it is scanned.  The isolated vertices are walked
 off the live list lazily, since most children die at once, and a
 deviation draw lists the walk only as far as the vertex it takes.
 
@@ -123,9 +124,9 @@ _DEVIATION = 32
 # exact solves of random 4x4 and 5x5 grids ran about 1.3x slower.
 _KEYED_PARTS = 64
 
-# A child yielded with this in place of its conflict was not probed: it is
-# scanned once it is made.
-_SCAN = object()
+# Yielded by a node in place of its next merge once the merge count has
+# reached the cutoff: the walk stops there.
+_CUTOFF = object()
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -502,94 +503,65 @@ class _Engine:
     # -- the tree -----------------------------------------------------------
 
     def _run(self) -> bool:
-        """Walk the tree below the current state depth first.  Returns True
-        when the tree is exhausted, False when the cutoff stopped it.
+        """Walk the tree below the current state, which must be
+        constructible, depth first.  Returns True when the tree is
+        exhausted, False when the cutoff stopped it.
 
-        A conflicted node is handled here: its one child, the merge of its
-        conflicting pair, is applied at once, and when the pair crosses
-        colours or was already excluded the node dies.  ``stack`` holds,
-        per constructible node on the current path, its child generator
-        and its depth; ``path`` holds the merge records of the path's
-        edges, one per merge, so its length is the depth.  Before a node
-        is asked for its next child, the merges below it are undone, which
-        also rewinds a dead forced chain; undo leaves the key index alone,
-        since each synced node restores it as it ends.  Each child comes
-        with its first conflict, probed by the node that yields it, or
-        ``_SCAN``: then the child is scanned once it is made.  A cutoff
-        abandons the state mid-tree: the engine is not used after it."""
-        path, colors, clique = self.path, self.grid.cells, self.clique
-        observer = self.observer
-        stack: list[tuple] = []
-        conflict = self._find_conflict()
-        while True:
-            # follow the forced merges from the node just entered
-            while True:
-                if observer is not None:
-                    self._observe(conflict is None)
-                if conflict is None:
-                    stack.append((self._node(), len(path)))
-                    break
-                p1, p2 = conflict
-                col = colors[p1]
-                if colors[p2] != col:
-                    break  # merging across colours can never respect the pattern
-                cl = clique[col]
-                if p1 in cl and p2 in cl:
-                    break  # pair already excluded on another branch
-                if self.merges >= self.cutoff:
+        ``stack`` holds one ``_node`` generator per constructible node on
+        the current path.  The deepest one runs until it yields: the state
+        sits at a constructible node below it, whose generator is pushed,
+        or it yields ``_CUTOFF``, which abandons the state mid-tree (the
+        engine is not used after it).  An exhausted generator is popped, and the
+        node below it goes on with its next child."""
+        stack = [self._node()]
+        while stack:
+            for step in stack[-1]:
+                if step is _CUTOFF:
                     return False
-                path.append(self._apply_merge(p1, p2, col))
-                self._tick()
-                conflict = self._find_conflict()
-            # the next child of the deepest constructible node that has one
-            while stack:
-                children, depth = stack[-1]
-                while len(path) > depth:
-                    self._undo_merge(path.pop())
-                move = next(children, None)
-                if move is not None:
-                    break
-                stack.pop()
+                stack.append(self._node())
+                break
             else:
-                return True
-            if self.merges >= self.cutoff:
-                return False
-            lo, hi, col, conflict = move
-            path.append(self._apply_merge(lo, hi, col))
-            self._tick()
-            if conflict is _SCAN:
-                conflict = self._find_conflict()
+                stack.pop()
+        return True
 
     def _pruned(self) -> bool:
         return self.bound >= self.best
 
     def _node(self):
-        """Yield the children of the constructible node the state sits on,
-        as merges (lo, hi, colour, conflict); the state is back at this
-        node whenever a child is asked for.  The node may become the
-        incumbent first; it yields its children in clique order, and after
-        the last one undoes its clique joins and restores the key index if
-        it synced it.  A cutoff abandons the generator, so that undo is not
-        in a ``finally``: it would run at garbage collection.
+        """Run the constructible node the state sits on: observe it, adopt it
+        as the incumbent if it is smaller than ``best``, and make its children
+        in clique order.  The node applies each child's merge, scans the child
+        and applies its forced merges in turn, until a conflict across colours
+        or across an excluded pair kills the chain or a constructible node is
+        reached, which it yields for ``_run`` to enter.  After each child it
+        undoes the merges below it, the engine's one rewind site, and after
+        the last one its clique joins; a node that synced the key index
+        restores it then, as undo leaves the index alone.
 
         Where the index sits at this node on entry (it synced here, or this
-        is the root), the node probes each child first and only counts one
-        whose conflict is fatal; a live one comes with its probed conflict,
-        any other child with ``_SCAN``.  Only a join or a child out moves
-        the bound or ``best``, so the prune is asked at a vertex's first
-        member and after a yield.  At the cutoff a child is yielded
-        unprobed, so a run of dead children ends at exactly the cutoff."""
+        is the root), each child is probed first: one whose probed conflict
+        is fatal is only counted, a live one is made with its probed
+        conflict, unscanned.  Only a join or a child out moves the bound or
+        ``best``, so the prune is asked at a vertex's first member and after
+        a made child.  Before each merge, probed, made or forced, the node
+        yields ``_CUTOFF`` once the cutoff is reached, so a run of dead
+        children ends at exactly the cutoff.  ``_run`` then abandons the
+        generator, so the undo is not in a ``finally``: it would run at
+        garbage collection."""
         colors, clique, keys, path = self.grid.cells, self.clique, self.keys, self.path
-        num_parts = self.mn - len(path)
+        if self.observer is not None:
+            self._observe(True)
+        depth = len(path)
+        num_parts = self.mn - depth
         if num_parts < self.best:
             self._adopt_incumbent()
         if self._pruned():
             return
         synced = None
-        if keys is not None and path and num_parts >= _KEYED_PARTS:
+        if keys is not None and depth and num_parts >= _KEYED_PARTS:
             synced = keys.sync()
-        probe = keys.probe if keys is not None and keys.depth == len(path) else None
-        cutoff, nxt, rng = self.cutoff, self.nxt, self.rng
+        probe = keys.probe if keys is not None and keys.depth == depth else None
+        cutoff, nxt, rng, observer = self.cutoff, self.nxt, self.rng, self.observer
 
         # Isolated vertices, taken lazily in canonical anchor order; ``left``
         # counts those not yet taken.  Each vertex is paired against the
@@ -634,9 +606,10 @@ class _Engine:
                         stop = True
                         break
                     check = False
+                if self.merges >= cutoff:
+                    yield _CUTOFF
                 lo, hi = (v, u) if v < u else (u, v)
-                conflict = _SCAN
-                if probe is not None and self.merges < cutoff:
+                if probe is not None:
                     conflict = probe(lo, hi)
                     if conflict is not None:
                         p1, p2 = conflict
@@ -645,7 +618,30 @@ class _Engine:
                         if colors[p2] != c or (p1 in k or p1 == lo) and (p2 in k or p2 == lo):
                             self._tick()
                             continue
-                yield lo, hi, col, conflict
+                path.append(self._apply_merge(lo, hi, col))
+                self._tick()
+                if probe is None:
+                    conflict = self._find_conflict()
+                # follow the child's forced merges
+                while conflict is not None:
+                    if observer is not None:
+                        self._observe(False)
+                    p1, p2 = conflict
+                    c = colors[p1]
+                    if colors[p2] != c:
+                        break  # merging across colours can never respect the pattern
+                    k = clique[c]
+                    if p1 in k and p2 in k:
+                        break  # pair already excluded on another branch
+                    if self.merges >= cutoff:
+                        yield _CUTOFF
+                    path.append(self._apply_merge(p1, p2, c))
+                    self._tick()
+                    conflict = self._find_conflict()
+                else:
+                    yield
+                while len(path) > depth:
+                    self._undo_merge(path.pop())
                 check = True
             if not stop:
                 cl.add(v)

@@ -231,7 +231,10 @@ def listed_walk(isolated, script):
 def test_deviations_take_the_listed_walks_vertices(script):
     # a node of merged parts, some of them already in a clique, so the
     # walk skips live parts; the vertices join their cliques in the order
-    # they are taken, and exhausting the node undoes the joins
+    # they are taken, and exhausting the node undoes the joins.  The grid
+    # is too small for the key index, so the node makes every child: its
+    # children are the merges it applies at its own depth, and it rewinds
+    # each one back to that depth.
     grid = gen_random(4, 4, 2, 23)
     engine = UnboundedEngine(grid, SolveConfig.exact(), None, None, None)
     for lo, hi in ((3, 10), (1, 9)):
@@ -239,20 +242,37 @@ def test_deviations_take_the_listed_walks_vertices(script):
             engine.path.append(engine._apply_merge(lo, hi, grid.cells[lo]))
             lo, hi = engine._find_conflict() or (0, 0)
     live = live_anchors(engine.nxt, engine.mn)
-    taken = []
+    depth = len(engine.path)
+    taken, children, merging = [], [], []
+    real_apply, real_undo = engine._apply_merge, engine._undo_merge
+
+    def apply(lo, hi, col):
+        if len(engine.path) == depth:
+            children.append((lo, hi))
+        merging.append(True)
+        rec = real_apply(lo, hi, col)
+        merging.pop()
+        return rec
+
+    def undo(rec):
+        merging.append(True)
+        real_undo(rec)
+        merging.pop()
 
     class Clique(set):
         def add(self, v):
-            taken.append(v)
+            if not merging:  # a join, not a member swapped by a merge or its undo
+                taken.append(v)
             super().add(v)
 
+    engine._apply_merge, engine._undo_merge = apply, undo
     engine.clique = [Clique(a for a in live[2:9:3] if grid.cells[a] == col) for col in range(grid.k)]
     assert all(engine.clique) and engine.keys is None
     before = [set(cl) for cl in engine.clique]
     isolated = [a for a in live if a not in engine.clique[grid.cells[a]]]
     engine.best = 0  # no adoption; the unbounded engine prunes nothing
     engine.rng = ScriptedRng(script)
-    children = list(engine._node())
+    assert search_module._CUTOFF not in list(engine._node())
     assert taken == listed_walk(isolated, script)
     assert engine.rng.picks == len(isolated) - 1
     assert len(children) == sum(
@@ -260,6 +280,7 @@ def test_deviations_take_the_listed_walks_vertices(script):
         for i, v in enumerate(taken)
     )
     assert engine.clique == before
+    assert len(engine.path) == depth
 
 
 def visited_nodes():
@@ -448,6 +469,28 @@ class TestSolveContract:
         res = solve(g, SolveConfig.anytime(10**6, seed=6))
         assert res.proven_optimal
         assert res.merges_performed < 10**6
+
+    @pytest.mark.parametrize("make_grid, seed, merges", [
+        (lambda: gen_random(4, 4, 2, 1000), 1000, 273),
+        (lambda: gen_random(4, 4, 2, 1001), 1001, 129),
+        (lambda: gen_random(4, 4, 2, 1002), 1002, 540),
+        (lambda: gen_sierpinski(8, 8), 0, 875),  # keyed: 64 cells
+        (lambda: gen_binary_counter(8, 8), 0, 3898),
+    ], ids=["random1000", "random1001", "random1002", "sierpinski8", "counter8"])
+    def test_cutoff_at_exhaustion(self, make_grid, seed, merges):
+        # a tree exhausted by its last merge is proven at a cutoff of
+        # exactly that many merges; one merge fewer stops it unproven, on
+        # the exact trace's prefix
+        g = make_grid()
+        exact = solve(g, SolveConfig.exact(seed=seed))
+        assert (exact.merges_performed, exact.proven_optimal) == (merges, True)
+        at = solve(g, SolveConfig.anytime(merges, seed=seed))
+        assert (at.merges_performed, at.proven_optimal, at.trace) == (merges, True, exact.trace)
+        before = solve(g, SolveConfig.anytime(merges - 1, seed=seed))
+        prefix = tuple(t for t in exact.trace if t[0] < merges)
+        assert (before.merges_performed, before.proven_optimal, before.trace) == (
+            merges - 1, False, prefix,
+        )
 
     def test_tiny_cutoff_still_yields_solution(self):
         g = gen_random(4, 4, 2, 8)
@@ -1316,17 +1359,28 @@ class TestKeyIndex:
         assert plain_applies < plain.merges_performed and not plain_dead
 
     @pytest.mark.parametrize("engine", [search_module._Engine, UnboundedEngine], ids=["plain", "unbounded"])
-    @pytest.mark.parametrize("name", ["random16", "sierpinski16"])
+    @pytest.mark.parametrize("name", ["random16", "sierpinski16", "random5x5"])
     def test_cutoffs_among_dead_children(self, name, engine):
         # a synced node ticks its dead children itself and asks the prune
-        # only after a yield, so a cutoff that falls in a run of them must
-        # stop where the unindexed walk, which makes every child, stops
-        grid, cfg, _ = SHORTCUT_SOLVES[name]()
+        # only after a made child, so a cutoff that falls in a run of them
+        # must stop where the unindexed walk, which makes every child,
+        # stops.  The 5x5 grid builds no index: its node makes, scans and
+        # rewinds each dead child itself.  A cutoff inside a forced chain
+        # stops before the chain's next merge.  Each cut run is the uncut
+        # one up to its cutoff.
+        if name == "random5x5":
+            grid, cfg = gen_random(5, 5, 2, 1000), SolveConfig.anytime(2000, seed=1000)
+        else:
+            grid, cfg, _ = SHORTCUT_SOLVES[name]()
+        budget = cfg.cutoff_merges
         real_apply = search_module._Engine._apply_merge
+        forced = set()  # merge numbers applied at a conflicted state
         applied = set()
 
         def numbered_apply(self, lo, hi, col):
             applied.add(self.merges + 1)
+            if self._find_conflict() is not None:
+                forced.add(self.merges + 1)
             return real_apply(self, lo, hi, col)
 
         def run(cutoff, **options):
@@ -1337,14 +1391,21 @@ class TestKeyIndex:
             return stream, result.merges_performed, result.trace, emit_tileset(result.best_system)
 
         with mock.patch.object(search_module._Engine, "_apply_merge", numbered_apply):
-            run(cfg.cutoff_merges)
-        # every 37th cutoff, and the first between two dead children: the
-        # unbounded sierpinski16 walk has 10 dead children in 2000 merges
-        dead = set(range(1, cfg.cutoff_merges + 1)) - applied
-        inside = sorted(c for c in dead if c + 1 in dead)
-        assert inside
-        for cutoff in sorted({*range(1, cfg.cutoff_merges + 1, 37), inside[0]}):
-            assert run(cutoff) == run(cutoff, observer=lambda node: None), cutoff
+            stream, _, trace, _ = run(budget)
+        # every 37th cutoff, the first between two dead children (the
+        # unbounded sierpinski16 walk has 10 dead children in 2000 merges),
+        # and the first three and every 37th of those inside a forced chain
+        dead = set(range(1, budget + 1)) - applied
+        between = sorted(c for c in dead if c + 1 in dead)
+        chained = sorted(c - 1 for c in forced)
+        assert chained and (between or grid.m * grid.n < search_module._KEYED_PARTS)
+        cutoffs = {*range(1, budget + 1, 37), *between[:1], *chained[:3], *chained[::37]}
+        for cutoff in sorted(cutoffs):
+            cut = run(cutoff)
+            assert cut == run(cutoff, observer=lambda node: None), cutoff
+            assert cut[1] == cutoff
+            assert cut[0] == [event for event in stream if event[0] <= cutoff], cutoff
+            assert cut[2] == tuple(t for t in trace if t[0] <= cutoff), cutoff
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(KEYED_WORKLOADS))

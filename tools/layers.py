@@ -11,10 +11,13 @@ This tool times each call of ``KeyIndex.probe``, ``sync`` and
 runs N plain passes over them alternating with N timed ones.  For each
 step it reports the calls per pass, the microseconds per call and the
 share of the best plain pass, taken from the timed pass in which the
-step cost least.  The timer's own cost, the least it records per call
-around an empty function, is measured next to every timed pass, as it
-drifts between runs; the least of those is taken off every call, and
-the table reports their range.
+step cost least.  The last row, ``rest_share`` in the JSON, is the share
+of the best plain pass that no timed step covers: ``_run``, ``_node``,
+``_tick``, the rng draws and each solve's set-up and hand-out.  The
+timer's own cost, the least it records per call around an empty
+function, is measured next to every timed pass, as it drifts between
+runs; the least of those is taken off every call, and the table reports
+their range.
 
 Every result of every pass is checked against ``perfbench/reference.json``
 and re-verified by simulation; if one fails, no table is printed and the
@@ -149,6 +152,7 @@ def measure(workload: str, passes: int) -> tuple[dict | None, list[str]]:
         "timer_offset_us": offset * 1e6,
         "timer_offset_range_us": [offset * 1e6, max(offsets) * 1e6],
         "rows": rows,
+        "rest_share": 1 - sum(r["share"] for r in rows),
     }, []
 
 
@@ -162,6 +166,7 @@ def format_table(table: dict) -> str:
     ]
     for r in table["rows"]:
         out.append(f"{r['name']:<26} {r['calls']:>8} {r['us_per_call']:>9.3f} {r['share']:>7.1%}")
+    out.append(f"{'rest (untimed)':<26} {'':>8} {'':>9} {table['rest_share']:>7.1%}")
     return "\n".join(out)
 
 
